@@ -113,7 +113,13 @@ pub fn certified_radius_prepared(
         max_certified_radius_deadline(
             |r| {
                 let region = t1_region(emb, position, r, p);
-                Ok(deept::certify_deadline(net, &region, label, &cfg, deadline)?.certified)
+                let member = deept::Member {
+                    deadline,
+                    ..deept::Member::new(&region)
+                };
+                let mut res =
+                    deept::certify_batch(net, &[member], label, &cfg, &NoopProbe, &mut ());
+                Ok(res.remove(0)?.certified)
             },
             0.01,
             iters,

@@ -5,17 +5,7 @@
 //! the computation they count (the PR 1 bitwise-identical guarantee), and
 //! when `DEEPT_METRICS=off` every bump is a single relaxed atomic load.
 
-use deept_metrics::Counter;
-use std::sync::OnceLock;
-
-macro_rules! hot_counter {
-    ($fn_name:ident, $metric:literal, $help:literal) => {
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static C: OnceLock<Counter> = OnceLock::new();
-            C.get_or_init(|| deept_metrics::global().counter($metric, $help))
-        }
-    };
-}
+use deept_metrics::hot_counter;
 
 hot_counter!(
     matmul_total,

@@ -76,6 +76,20 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::gated)
 }
 
+/// Defines `pub(crate) fn $fn_name() -> &'static Counter`: a cached handle
+/// to the counter `$metric` in the process-global (gated) registry,
+/// registered with `$help` on first use. A hot path then pays one
+/// `OnceLock` load per bump instead of a registry lookup.
+#[macro_export]
+macro_rules! hot_counter {
+    ($fn_name:ident, $metric:literal, $help:literal) => {
+        pub(crate) fn $fn_name() -> &'static $crate::Counter {
+            static C: ::std::sync::OnceLock<$crate::Counter> = ::std::sync::OnceLock::new();
+            C.get_or_init(|| $crate::global().counter($metric, $help))
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

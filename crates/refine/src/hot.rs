@@ -5,17 +5,8 @@
 //! scrape endpoint, never the computation, and every bump is a single
 //! relaxed atomic load when `DEEPT_METRICS=off`.
 
-use deept_metrics::{Counter, Histogram};
+use deept_metrics::{hot_counter, Histogram};
 use std::sync::OnceLock;
-
-macro_rules! hot_counter {
-    ($fn_name:ident, $metric:literal, $help:literal) => {
-        pub(crate) fn $fn_name() -> &'static Counter {
-            static C: OnceLock<Counter> = OnceLock::new();
-            C.get_or_init(|| deept_metrics::global().counter($metric, $help))
-        }
-    };
-}
 
 hot_counter!(
     escalations_total,

@@ -65,8 +65,7 @@ use deept_telemetry::{NoopProbe, Probe, SpanKind};
 use deept_tensor::{ops, Matrix};
 use deept_verifier::attack::attack_t1;
 use deept_verifier::deept::{
-    certify_deadline_probed, propagate_snapshots_deadline, propagate_suffix_deadline_probed,
-    DeepTConfig, SoundnessProbe,
+    certify_batch, propagate_batch, DeepTConfig, Member, ZonotopeObserver,
 };
 use deept_verifier::network::{margins_from_zonotope, t1_region};
 use deept_verifier::{Deadline, DeadlineExceeded, VerifiableTransformer};
@@ -271,8 +270,8 @@ struct Layer0Snapshot {
     z1: Option<Zonotope>,
 }
 
-impl SoundnessProbe for Layer0Snapshot {
-    fn layer_output(&mut self, i: usize, z: &Zonotope) {
+impl ZonotopeObserver for Layer0Snapshot {
+    fn layer_output(&mut self, _member: usize, i: usize, z: &Zonotope) {
         if i == 0 {
             self.z1 = Some(z.clone());
         }
@@ -421,14 +420,19 @@ pub fn refine_certify_probed(
 
     // Level 0: Fast.
     let t0 = Instant::now();
-    let fast = certify_deadline_probed(
+    let member = Member {
+        deadline,
+        ..Member::new(&region)
+    };
+    let fast = certify_batch(
         &net,
-        &region,
+        &[member],
         true_label,
         &DeepTConfig::fast(cfg.fast_budget),
-        deadline,
         probe,
-    );
+        &mut (),
+    )
+    .remove(0);
     report.level_seconds[0] = t0.elapsed().as_secs_f64();
     hot::fast_seconds().observe(report.level_seconds[0]);
     let mut best_bound = f64::NEG_INFINITY;
@@ -454,7 +458,7 @@ pub fn refine_certify_probed(
     let t1 = Instant::now();
     let pcfg = DeepTConfig::precise(cfg.precise_budget);
     let mut snap = Layer0Snapshot::default();
-    let precise = propagate_snapshots_deadline(&net, &region, &pcfg, deadline, &mut snap);
+    let precise = propagate_batch(&net, &[member], &pcfg, &NoopProbe, &mut snap).remove(0);
     report.level_seconds[1] = t1.elapsed().as_secs_f64();
     hot::precise_seconds().observe(report.level_seconds[1]);
     match precise {
@@ -552,15 +556,13 @@ pub fn refine_certify_probed(
         // logits expose exact per-symbol margin gradients.
         let protect = node.region.num_eps();
         probe.span_enter(SpanKind::RefineNode(node.id));
-        let propagated = propagate_suffix_deadline_probed(
-            &net,
-            &node.region,
-            &rcfg,
-            node.start_layer,
-            protect,
+        let member = Member {
+            input: &node.region,
+            start_layer: node.start_layer,
+            protect_eps: protect,
             deadline,
-            probe,
-        );
+        };
+        let propagated = propagate_batch(&net, &[member], &rcfg, probe, &mut ()).remove(0);
         let stats = match &propagated {
             Ok(z) => probe.enabled().then(|| z.telemetry_stats()),
             Err(_) => None,

@@ -42,12 +42,18 @@
 //! - **Lockstep batching**: a worker that dequeues a fusible eps query
 //!   drains up to `fuse_max - 1` same-group siblings (same checkpoint
 //!   fingerprint, tokens, position, norm and variant) from the queue and
-//!   runs them through
-//!   [`certify_batch_deadline_probed`](deept_verifier::deept::certify_batch_deadline_probed),
+//!   runs them through one
+//!   [`certify_batch`](deept_verifier::deept::certify_batch) sweep — the
+//!   same propagation loop a single query runs as a sweep of one —
 //!   sharing the prediction, the embedding and the per-layer sweep while
-//!   executing each member's abstract-transformer calls verbatim — the
+//!   executing each member's abstract-transformer calls verbatim. The
 //!   batched results are bitwise identical to serial runs, and each
 //!   member keeps its own deadline.
+//!
+//! Every certification sweep (a single eps query, a fused batch, a
+//! synonym sweep) goes through `certify_cached`: each member resumes from
+//! its deepest cached layer snapshot, and the layers the sweep ran are
+//! published back to the state cache.
 
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -61,11 +67,8 @@ use deept_metrics::PhaseProfiler;
 use deept_refine::{refine_certify_probed, RefineConfig, RefineOutcome};
 use deept_telemetry::{NoopProbe, Probe, TraceCollector};
 use deept_verifier::deadline::{Deadline, DeadlineExceeded};
-use deept_verifier::deept::{
-    certify_batch_resumable, certify_deadline_probed, propagate_suffix_snapshots_deadline_probed,
-    BatchQuery, BatchSnapshotSink, DeepTConfig, NoBatchSnapshots, SoundnessProbe,
-};
-use deept_verifier::network::{margins_from_zonotope_deadline, t1_region, t2_region, CertResult};
+use deept_verifier::deept::{certify_batch, DeepTConfig, Member, ZonotopeObserver};
+use deept_verifier::network::{t1_region, t2_region, CertResult};
 use deept_verifier::radius::{max_certified_radius_deadline, RadiusOutcome};
 use deept_verifier::statehash::{config_hash, region_hash};
 use deept_verifier::synonym;
@@ -923,25 +926,13 @@ fn verifier_config(variant: Variant, reduction_budget: usize) -> DeepTConfig {
     }
 }
 
-/// Collects every post-layer state of a serial propagation so the worker
+/// Collects every post-layer state of every sweep member so the worker
 /// can publish them to the [`StateCache`] afterwards.
-#[derive(Default)]
 struct SnapshotCollector {
-    states: Vec<(usize, Zonotope)>,
-}
-
-impl SoundnessProbe for SnapshotCollector {
-    fn layer_output(&mut self, i: usize, z: &Zonotope) {
-        self.states.push((i, z.clone()));
-    }
-}
-
-/// Per-member snapshot collector for the lockstep batched sweep.
-struct BatchCollector {
     states: Vec<Vec<(usize, Zonotope)>>,
 }
 
-impl BatchSnapshotSink for BatchCollector {
+impl ZonotopeObserver for SnapshotCollector {
     fn layer_output(&mut self, member: usize, layer: usize, z: &Zonotope) {
         self.states[member].push((layer, z.clone()));
     }
@@ -1030,62 +1021,68 @@ fn publish_snapshots(
     m.state_resident_bytes.set(cache.resident_bytes() as f64);
 }
 
-/// [`certify_deadline_probed`] with cross-request state-cache resume: a
-/// witness-verified hit skips the cached prefix (bitwise identical to the
-/// cold run — the sweep replays the remaining layers on the exact state
-/// the cold run produced), and whatever layers this run executed are
-/// published back, even when the deadline expires mid-stack. Returns the
-/// outcome plus the layer the run resumed from (`0` = cold start).
-#[allow(clippy::too_many_arguments)]
-fn certify_eps_resumable(
+/// [`certify_batch`] with cross-request state-cache resume: each query
+/// `(region, deadline)` joins the sweep at its deepest witness-verified
+/// snapshot (bitwise identical to the cold run — the sweep replays the
+/// remaining layers on the exact state the cold run produced), and every
+/// layer the sweep executed is published back, even when a deadline
+/// expires mid-stack. Returns each member's outcome plus the layer it
+/// resumed from (`0` = cold start).
+fn certify_cached(
     inner: &Inner,
     entry: &ModelEntry,
     norm: PNorm,
-    region: &Zonotope,
+    queries: &[(Zonotope, Deadline)],
     label: usize,
     cfg: &DeepTConfig,
-    deadline: Deadline,
     probe: &dyn Probe,
-) -> (Result<CertResult, DeadlineExceeded>, usize) {
-    if inner.cfg.state_cache_bytes == 0 {
-        return (
-            certify_deadline_probed(&entry.net, region, label, cfg, deadline, probe),
-            0,
-        );
-    }
-    let hashes = (region_hash(region), config_hash(cfg));
+) -> Vec<(Result<CertResult, DeadlineExceeded>, usize)> {
     let m = &inner.metrics;
-    let resumed = deepest_snapshot(inner, entry, norm, region, cfg, hashes);
-    let (start, input) = match &resumed {
-        Some((start, hit)) => {
-            m.state_hits.inc();
-            m.state_resumed_layers.add(*start as u64);
-            (*start, &hit.state)
+    let use_cache = inner.cfg.state_cache_bytes > 0;
+    let mut hashes: Vec<StateHashes> = Vec::new();
+    let mut hits: Vec<Option<(usize, Arc<StateEntry>)>> = vec![None; queries.len()];
+    if use_cache {
+        let c_hash = config_hash(cfg);
+        for ((region, _), hit) in queries.iter().zip(&mut hits) {
+            let h = (region_hash(region), c_hash);
+            hashes.push(h);
+            *hit = deepest_snapshot(inner, entry, norm, region, cfg, h);
+            match hit {
+                Some((start, _)) => {
+                    m.state_hits.inc();
+                    m.state_resumed_layers.add(*start as u64);
+                }
+                None => m.state_misses.inc(),
+            }
         }
-        None => {
-            m.state_misses.inc();
-            (0, region)
-        }
+    }
+    let members: Vec<Member<'_>> = queries
+        .iter()
+        .zip(&hits)
+        .map(|((region, deadline), hit)| match hit {
+            Some((start, cached)) => Member {
+                start_layer: *start,
+                deadline: *deadline,
+                ..Member::new(&cached.state)
+            },
+            None => Member {
+                deadline: *deadline,
+                ..Member::new(region)
+            },
+        })
+        .collect();
+    let mut collector = SnapshotCollector {
+        states: vec![Vec::new(); queries.len()],
     };
-    let outcome = (|| {
-        deadline.check()?;
-        let mut collector = SnapshotCollector::default();
-        let run = propagate_suffix_snapshots_deadline_probed(
-            &entry.net,
-            input,
-            cfg,
-            start,
-            0,
-            deadline,
-            probe,
-            &mut collector,
-        );
-        publish_snapshots(inner, entry, norm, region, cfg, hashes, collector.states);
-        let logits = run?;
-        let margins = margins_from_zonotope_deadline(&logits, label, deadline)?;
-        Ok(CertResult::from_margins(margins))
-    })();
-    (outcome, start)
+    let observer: &mut dyn ZonotopeObserver = if use_cache { &mut collector } else { &mut () };
+    let outcomes = certify_batch(&entry.net, &members, label, cfg, probe, observer);
+    if use_cache {
+        for (((region, _), h), states) in queries.iter().zip(hashes).zip(collector.states) {
+            publish_snapshots(inner, entry, norm, region, cfg, h, states);
+        }
+    }
+    let starts = members.iter().map(|member| member.start_layer);
+    outcomes.into_iter().zip(starts).collect()
 }
 
 /// Whether a job can join a lockstep batch at all: plain eps queries
@@ -1166,72 +1163,17 @@ fn run_batch(inner: &Inner, batch: Vec<Job>, started: Instant) {
         &NoopProbe
     };
     let cfg = verifier_config(spec0.variant, inner.cfg.reduction_budget);
-    let norm = spec0.norm;
-    let regions: Vec<_> = batch
+    let queries: Vec<(Zonotope, Deadline)> = batch
         .iter()
         .map(|job| {
             let Query::Eps(eps) = job.spec.query else {
                 unreachable!("fusible jobs are eps queries")
             };
-            t1_region(&emb, job.spec.position, eps, job.spec.norm)
+            let region = t1_region(&emb, job.spec.position, eps, job.spec.norm);
+            (region, job.spec.deadline)
         })
         .collect();
-    // State-cache resume per member: a warm member joins the lockstep
-    // sweep at its snapshot's layer; the sweep skips it below that layer.
-    let use_cache = inner.cfg.state_cache_bytes > 0;
-    let c_hash = if use_cache { config_hash(&cfg) } else { 0 };
-    let mut starts = vec![0usize; regions.len()];
-    let mut hits: Vec<Option<Arc<StateEntry>>> = vec![None; regions.len()];
-    let mut hashes: Vec<StateHashes> = Vec::with_capacity(regions.len());
-    if use_cache {
-        for (idx, region) in regions.iter().enumerate() {
-            let h = (region_hash(region), c_hash);
-            hashes.push(h);
-            match deepest_snapshot(inner, &entry, norm, region, &cfg, h) {
-                Some((start, hit)) => {
-                    m.state_hits.inc();
-                    m.state_resumed_layers.add(start as u64);
-                    starts[idx] = start;
-                    hits[idx] = Some(hit);
-                }
-                None => m.state_misses.inc(),
-            }
-        }
-    }
-    let queries: Vec<BatchQuery<'_>> = regions
-        .iter()
-        .zip(&hits)
-        .zip(&batch)
-        .map(|((region, hit), job)| BatchQuery {
-            input: match hit {
-                Some(h) => &h.state,
-                None => region,
-            },
-            true_label: label,
-            deadline: job.spec.deadline,
-        })
-        .collect();
-    let mut sink = BatchCollector {
-        states: vec![Vec::new(); regions.len()],
-    };
-    let mut drop_sink = NoBatchSnapshots;
-    let sink_ref: &mut dyn BatchSnapshotSink = if use_cache { &mut sink } else { &mut drop_sink };
-    let outcomes =
-        certify_batch_resumable(&entry.net, &queries, Some(&starts), &cfg, probe, sink_ref);
-    drop(queries);
-    if use_cache {
-        for (idx, states) in sink.states.into_iter().enumerate() {
-            publish_snapshots(
-                inner,
-                &entry,
-                norm,
-                &regions[idx],
-                &cfg,
-                hashes[idx],
-                states,
-            );
-        }
-    }
+    let outcomes = certify_cached(inner, &entry, spec0.norm, &queries, label, &cfg, probe);
     let elapsed = started.elapsed().as_secs_f64();
     deept_telemetry::debug!(
         "serve",
@@ -1239,7 +1181,7 @@ fn run_batch(inner: &Inner, batch: Vec<Job>, started: Instant) {
         outcomes.len(),
         elapsed * 1e3
     );
-    for (job, outcome) in batch.into_iter().zip(outcomes) {
+    for (job, (outcome, _)) in batch.into_iter().zip(outcomes) {
         // Each member experienced the whole batch wall time.
         m.propagation.observe(elapsed);
         m.in_flight.sub(1.0);
@@ -1388,16 +1330,16 @@ fn run_job(inner: &Inner, entry: &ModelEntry, spec: &JobSpec) -> Response {
         match spec.query {
             Query::Eps(eps) => {
                 let region = t1_region(&emb, spec.position, eps, spec.norm);
-                let (res, start) = certify_eps_resumable(
+                let (res, start) = certify_cached(
                     inner,
                     entry,
                     spec.norm,
-                    &region,
+                    &[(region, spec.deadline)],
                     label,
                     &cfg,
-                    spec.deadline,
                     probe,
-                );
+                )
+                .remove(0);
                 resumed_from = start;
                 match res {
                     Ok(res) => Ok(CertifyResult::Fixed {
@@ -1418,14 +1360,12 @@ fn run_job(inner: &Inner, entry: &ModelEntry, spec: &JobSpec) -> Response {
                     |radius| -> Result<bool, DeadlineExceeded> {
                         queries += 1;
                         let region = t1_region(&emb, spec.position, radius, spec.norm);
-                        let res = certify_deadline_probed(
-                            &entry.net,
-                            &region,
-                            label,
-                            &cfg,
-                            spec.deadline,
-                            probe,
-                        )?;
+                        let member = Member {
+                            deadline: spec.deadline,
+                            ..Member::new(&region)
+                        };
+                        let res = certify_batch(&entry.net, &[member], label, &cfg, probe, &mut ())
+                            .remove(0)?;
                         Ok(res.certified)
                     },
                     search.start,
@@ -1536,68 +1476,20 @@ fn run_synonyms(
         regions.push(t2_region(emb, &only));
         member_pos.push(Some(i));
     }
-    let m = &inner.metrics;
-    let use_cache = inner.cfg.state_cache_bytes > 0;
-    let c_hash = if use_cache { config_hash(cfg) } else { 0 };
-    let mut starts = vec![0usize; regions.len()];
-    let mut hits: Vec<Option<Arc<StateEntry>>> = vec![None; regions.len()];
-    let mut hashes: Vec<StateHashes> = Vec::with_capacity(regions.len());
-    if use_cache {
-        for (idx, region) in regions.iter().enumerate() {
-            let h = (region_hash(region), c_hash);
-            hashes.push(h);
-            match deepest_snapshot(inner, entry, PNorm::Linf, region, cfg, h) {
-                Some((start, hit)) => {
-                    m.state_hits.inc();
-                    m.state_resumed_layers.add(start as u64);
-                    starts[idx] = start;
-                    hits[idx] = Some(hit);
-                }
-                None => m.state_misses.inc(),
-            }
-        }
-    }
-    let queries: Vec<BatchQuery<'_>> = regions
-        .iter()
-        .zip(&hits)
-        .map(|(region, hit)| BatchQuery {
-            input: match hit {
-                Some(h) => &h.state,
-                None => region,
-            },
-            true_label: label,
-            deadline: spec.deadline,
-        })
+    let queries: Vec<(Zonotope, Deadline)> = regions
+        .into_iter()
+        .map(|region| (region, spec.deadline))
         .collect();
-    let mut sink = BatchCollector {
-        states: vec![Vec::new(); regions.len()],
-    };
-    let mut drop_sink = NoBatchSnapshots;
-    let sink_ref: &mut dyn BatchSnapshotSink = if use_cache { &mut sink } else { &mut drop_sink };
-    let outcomes =
-        certify_batch_resumable(&entry.net, &queries, Some(&starts), cfg, probe, sink_ref);
-    drop(queries);
-    if use_cache {
-        for (idx, states) in sink.states.into_iter().enumerate() {
-            publish_snapshots(
-                inner,
-                entry,
-                PNorm::Linf,
-                &regions[idx],
-                cfg,
-                hashes[idx],
-                states,
-            );
-        }
-    }
+    let outcomes = certify_cached(inner, entry, PNorm::Linf, &queries, label, cfg, probe);
+    let resumed_from = outcomes[0].1;
     let mut results = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
+    for (outcome, _) in outcomes {
         match outcome {
             Ok(res) => results.push(res),
             Err(DeadlineExceeded) => {
                 return (
                     Err("synonym sweep deadline exceeded".to_string()),
-                    starts[0],
+                    resumed_from,
                 );
             }
         }
@@ -1615,7 +1507,7 @@ fn run_synonyms(
         margins: full.margins.clone(),
         combinations: sets.combinations(&spec.tokens).to_string(),
     };
-    (Ok(result), starts[0])
+    (Ok(result), resumed_from)
 }
 
 /// Answers one HTTP/1.0 scrape request on `stream` and closes it.

@@ -2,7 +2,7 @@
 //!
 //! The harness propagates a T1 input region through the abstract verifier
 //! once, capturing the zonotope after every encoder layer plus the final
-//! logits via [`SoundnessProbe`]. It then samples concrete perturbed
+//! logits via a [`ZonotopeObserver`]. It then samples concrete perturbed
 //! embeddings inside the same ℓp ball, runs them through the *concrete*
 //! network layer by layer, and checks that each intermediate activation sits
 //! inside the corresponding zonotope's interval bounds. Any escape is a
@@ -11,8 +11,9 @@
 use deept_core::PNorm;
 use deept_core::Zonotope;
 use deept_nn::transformer::TransformerClassifier;
+use deept_telemetry::NoopProbe;
 use deept_tensor::Matrix;
-use deept_verifier::deept::{propagate_with_snapshots, DeepTConfig, SoundnessProbe};
+use deept_verifier::deept::{propagate_batch, DeepTConfig, Member, ZonotopeObserver};
 use deept_verifier::network::{t1_region, VerifiableTransformer};
 use rand::Rng;
 
@@ -45,17 +46,17 @@ pub struct SnapshotCollector {
     pub logits: Option<Zonotope>,
 }
 
-impl SoundnessProbe for SnapshotCollector {
-    fn input(&mut self, z: &Zonotope) {
+impl ZonotopeObserver for SnapshotCollector {
+    fn input(&mut self, _member: usize, z: &Zonotope) {
         self.input = Some(z.clone());
     }
 
-    fn layer_output(&mut self, i: usize, z: &Zonotope) {
+    fn layer_output(&mut self, _member: usize, i: usize, z: &Zonotope) {
         debug_assert_eq!(i, self.layers.len(), "layers must arrive in order");
         self.layers.push(z.clone());
     }
 
-    fn logits(&mut self, z: &Zonotope) {
+    fn logits(&mut self, _member: usize, z: &Zonotope) {
         self.logits = Some(z.clone());
     }
 }
@@ -97,7 +98,7 @@ fn check_stage(stage: &str, z: &Zonotope, concrete: &Matrix, out: &mut Vec<Conta
 /// interior and extreme-point noise), executes each through the concrete
 /// encoder layer by layer, and compares every intermediate activation and
 /// the final logits against the abstract states captured from one
-/// [`propagate_with_snapshots`] run. Returns all violations found.
+/// deadline-free [`propagate_batch`] run. Returns all violations found.
 #[allow(clippy::too_many_arguments)]
 pub fn check_containment(
     model: &TransformerClassifier,
@@ -113,7 +114,7 @@ pub fn check_containment(
     let emb = model.embed(tokens);
     let region = t1_region(&emb, position, radius, p);
     let mut snaps = SnapshotCollector::default();
-    let _ = propagate_with_snapshots(&net, &region, cfg, &mut snaps);
+    let _ = propagate_batch(&net, &[Member::new(&region)], cfg, &NoopProbe, &mut snaps);
     let input = snaps
         .input
         .as_ref()

@@ -7,7 +7,7 @@
 //!
 //! * [`containment`] — the differential containment harness. It propagates
 //!   an input region abstractly, capturing the per-stage zonotopes through
-//!   [`deept_verifier::deept::SoundnessProbe`], then drives concrete
+//!   [`deept_verifier::deept::ZonotopeObserver`], then drives concrete
 //!   perturbed embeddings (sampled inside the certified ℓp ball) through the
 //!   concrete encoder layer by layer and asserts each intermediate
 //!   activation lies within the matching zonotope's interval bounds.

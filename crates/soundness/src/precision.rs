@@ -15,7 +15,8 @@
 use deept_core::eps;
 use deept_core::PNorm;
 use deept_nn::transformer::TransformerClassifier;
-use deept_verifier::deept::{propagate_with_snapshots, DeepTConfig};
+use deept_telemetry::NoopProbe;
+use deept_verifier::deept::{propagate_batch, DeepTConfig, Member};
 use deept_verifier::network::{t1_region, VerifiableTransformer};
 
 use crate::containment::SnapshotCollector;
@@ -69,7 +70,7 @@ pub fn check_f32_nesting(
     let bounds_under = |f32_mode: bool| {
         eps::set_force_f32(Some(f32_mode));
         let mut snaps = SnapshotCollector::default();
-        let _ = propagate_with_snapshots(&net, &region, cfg, &mut snaps);
+        let _ = propagate_batch(&net, &[Member::new(&region)], cfg, &NoopProbe, &mut snaps);
         snaps.logits.as_ref().map(|z| z.bounds())
     };
     let ref64 = bounds_under(false);

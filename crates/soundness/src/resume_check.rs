@@ -3,7 +3,7 @@
 //!
 //! The serving layer's cross-request state cache (`crates/serve`) stores
 //! the zonotope after every encoder layer and resumes warm queries with
-//! [`propagate_suffix_snapshots_deadline_probed`] at `start_layer = k + 1`.
+//! [`propagate_batch`] at `start_layer = k + 1`.
 //! Its entire soundness story is one identity: replaying layers
 //! `k+1..n` from the post-layer-`k` snapshot yields the same logits —
 //! bit for bit — as running all `n` layers from the input region. This
@@ -25,13 +25,8 @@
 use deept_core::{PNorm, Zonotope};
 use deept_nn::transformer::TransformerClassifier;
 use deept_telemetry::NoopProbe;
-use deept_verifier::deadline::Deadline;
-use deept_verifier::deept::{
-    propagate_suffix_snapshots_deadline_probed, propagate_with_snapshots, DeepTConfig,
-};
+use deept_verifier::deept::{propagate_batch, DeepTConfig, Member, ZonotopeObserver};
 use deept_verifier::network::{t1_region, VerifiableTransformer};
-
-use deept_verifier::deept::SoundnessProbe;
 
 use crate::containment::SnapshotCollector;
 
@@ -43,8 +38,8 @@ struct SuffixCollector {
     layers: Vec<(usize, Zonotope)>,
 }
 
-impl SoundnessProbe for SuffixCollector {
-    fn layer_output(&mut self, i: usize, z: &Zonotope) {
+impl ZonotopeObserver for SuffixCollector {
+    fn layer_output(&mut self, _member: usize, i: usize, z: &Zonotope) {
         self.layers.push((i, z.clone()));
     }
 }
@@ -84,6 +79,24 @@ pub enum ResumeViolationKind {
         /// Snapshots the warm run recorded.
         got: usize,
     },
+}
+
+/// A deadline-free one-member sweep of `input` from `start_layer`.
+fn propagate(
+    net: &VerifiableTransformer,
+    input: &Zonotope,
+    cfg: &DeepTConfig,
+    start_layer: usize,
+    observer: &mut dyn ZonotopeObserver,
+) -> Zonotope {
+    let member = Member {
+        start_layer,
+        ..Member::new(input)
+    };
+    match propagate_batch(net, &[member], cfg, &NoopProbe, observer).remove(0) {
+        Ok(z) => z,
+        Err(_) => unreachable!("Deadline::none() never expires"),
+    }
 }
 
 /// `true` iff two zonotopes are identical down to the bit pattern of every
@@ -143,7 +156,7 @@ pub fn check_resume_identity(
     let region = t1_region(&emb, position, radius, p);
 
     let mut cold = SnapshotCollector::default();
-    let cold_logits = propagate_with_snapshots(&net, &region, cfg, &mut cold);
+    let cold_logits = propagate(&net, &region, cfg, 0, &mut cold);
 
     // Non-finite states are outside the resume contract: the serving
     // cache refuses to store them (`Zonotope::has_non_finite`), because
@@ -163,19 +176,7 @@ pub fn check_resume_identity(
 
     for (start, state) in starts {
         let mut warm = SuffixCollector::default();
-        let warm_logits = match propagate_suffix_snapshots_deadline_probed(
-            &net,
-            state,
-            cfg,
-            start,
-            0,
-            Deadline::none(),
-            &NoopProbe,
-            &mut warm,
-        ) {
-            Ok(z) => z,
-            Err(_) => unreachable!("Deadline::none() never expires"),
-        };
+        let warm_logits = propagate(&net, state, cfg, start, &mut warm);
 
         // The warm run must replay exactly the layers the cold run had
         // left, producing the same snapshots…
@@ -258,7 +259,7 @@ mod tests {
         let region = t1_region(&emb, 1, 0.05, PNorm::Linf);
         let cfg = DeepTConfig::fast(4000);
         let mut cold = SnapshotCollector::default();
-        let cold_logits = propagate_with_snapshots(&net, &region, &cfg, &mut cold);
+        let cold_logits = propagate(&net, &region, &cfg, 0, &mut cold);
 
         // Corrupt the first snapshot and resume from it.
         let bad = &cold.layers[0];
@@ -268,37 +269,17 @@ mod tests {
             // state must produce different logits.
             let other = t1_region(&emb, 1, 0.051, PNorm::Linf);
             let mut c2 = SnapshotCollector::default();
-            let _ = propagate_with_snapshots(&net, &other, &cfg, &mut c2);
+            let _ = propagate(&net, &other, &cfg, 0, &mut c2);
             c2.layers[0].clone()
         };
-        let warm_logits = propagate_suffix_snapshots_deadline_probed(
-            &net,
-            &shifted,
-            &cfg,
-            1,
-            0,
-            Deadline::none(),
-            &NoopProbe,
-            &mut warm,
-        )
-        .expect("no deadline");
+        let warm_logits = propagate(&net, &shifted, &cfg, 1, &mut warm);
         assert!(
             !bitwise_eq(&warm_logits, &cold_logits),
             "a different snapshot must yield different logits"
         );
         // Sanity: the honest snapshot still matches.
         let mut warm2 = SuffixCollector::default();
-        let honest = propagate_suffix_snapshots_deadline_probed(
-            &net,
-            bad,
-            &cfg,
-            1,
-            0,
-            Deadline::none(),
-            &NoopProbe,
-            &mut warm2,
-        )
-        .expect("no deadline");
+        let honest = propagate(&net, bad, &cfg, 1, &mut warm2);
         assert!(bitwise_eq(&honest, &cold_logits));
     }
 }

@@ -5,8 +5,9 @@
 use deept_core::PNorm;
 use deept_nn::transformer::{LayerNormKind, TransformerClassifier, TransformerConfig};
 use deept_soundness::containment::SnapshotCollector;
+use deept_telemetry::NoopProbe;
 use deept_tensor::{parallel, Matrix};
-use deept_verifier::deept::{propagate_with_snapshots, DeepTConfig};
+use deept_verifier::deept::{propagate_batch, DeepTConfig, Member};
 use deept_verifier::network::t1_region;
 use deept_verifier::network::VerifiableTransformer;
 use proptest::prelude::*;
@@ -46,7 +47,8 @@ fn check_layer_containment(
 
     parallel::set_thread_override(Some(threads));
     let mut snaps = SnapshotCollector::default();
-    let _ = propagate_with_snapshots(&net, &region, &DeepTConfig::fast(4000), &mut snaps);
+    let cfg = DeepTConfig::fast(4000);
+    let _ = propagate_batch(&net, &[Member::new(&region)], &cfg, &NoopProbe, &mut snaps);
     parallel::set_thread_override(None);
 
     let layer_z = &snaps.layers[0];

@@ -7,7 +7,8 @@ use deept_core::elementwise::{reciprocal_relaxation, sqrt_relaxation, Activation
 use deept_nn::transformer::{LayerNormKind, TransformerClassifier, TransformerConfig};
 use deept_soundness::containment::SnapshotCollector;
 use deept_soundness::{check_relaxations, check_transformers, run, FuzzConfig};
-use deept_verifier::deept::{propagate, propagate_with_snapshots, DeepTConfig};
+use deept_telemetry::NoopProbe;
+use deept_verifier::deept::{propagate, propagate_batch, DeepTConfig, Member};
 use deept_verifier::network::{t1_region, VerifiableTransformer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -101,7 +102,9 @@ fn snapshots_leave_propagation_bitwise_identical() {
         let cfg = DeepTConfig::fast(4000);
         let plain = propagate(&net, &region, &cfg);
         let mut snaps = SnapshotCollector::default();
-        let probed = propagate_with_snapshots(&net, &region, &cfg, &mut snaps);
+        let probed = propagate_batch(&net, &[Member::new(&region)], &cfg, &NoopProbe, &mut snaps)
+            .remove(0)
+            .expect("Deadline::none() never expires");
         assert_eq!(plain, probed, "snapshots must not perturb the result");
         assert_eq!(snaps.layers.len(), 2, "one snapshot per encoder layer");
         assert_eq!(

@@ -13,30 +13,20 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-/// Cached handles into the process-global (gated) metrics registry. The
-/// local `HITS`/`MISSES` atomics stay authoritative for the per-stage
-/// snapshot API; these only feed the live scrape endpoint.
-fn global_hits() -> &'static deept_metrics::Counter {
-    static C: OnceLock<deept_metrics::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        deept_metrics::global().counter(
-            "deept_arena_hits_total",
-            "Scratch-arena requests served from the per-thread pool.",
-        )
-    })
-}
-
-fn global_misses() -> &'static deept_metrics::Counter {
-    static C: OnceLock<deept_metrics::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        deept_metrics::global().counter(
-            "deept_arena_misses_total",
-            "Scratch-arena requests that fell back to fresh allocations.",
-        )
-    })
-}
+// Cached handles into the process-global (gated) metrics registry. The
+// local `HITS`/`MISSES` atomics stay authoritative for the per-stage
+// snapshot API; these only feed the live scrape endpoint.
+deept_metrics::hot_counter!(
+    global_hits,
+    "deept_arena_hits_total",
+    "Scratch-arena requests served from the per-thread pool."
+);
+deept_metrics::hot_counter!(
+    global_misses,
+    "deept_arena_misses_total",
+    "Scratch-arena requests that fell back to fresh allocations."
+);
 
 /// Buffers retained per thread. Beyond this, returned buffers are dropped —
 /// the pool exists to serve the steady-state working set of one propagation,

@@ -79,8 +79,9 @@ impl DeepTConfig {
     }
 }
 
-/// Observer of the per-stage abstract states of a propagation, used by the
-/// differential containment harness (the `deept-soundness` crate).
+/// Observer of the per-member abstract states of a propagation sweep, used
+/// by the differential containment harness (the `deept-soundness` crate),
+/// the serve state cache and the refinement ladder.
 ///
 /// Unlike [`deept_telemetry::Probe`] — which lives *below* `deept-core` in
 /// the crate graph and can therefore only see scalar statistics — this trait
@@ -88,235 +89,190 @@ impl DeepTConfig {
 /// abstract state against the matching concrete activation. Observers only
 /// read: every hook takes `&Zonotope` immediately after the state is
 /// computed, on the same value the propagation continues with, so the
-/// returned logits are bitwise identical whether or not snapshots are taken.
-pub trait SoundnessProbe {
-    /// The input region, before any encoder layer.
-    fn input(&mut self, _z: &Zonotope) {}
-    /// The abstract state after encoder layer `i` (its input reduction, if
-    /// any, has already been applied — reduction only loosens, so the layer
-    /// output still contains every concrete layer output).
-    fn layer_output(&mut self, _i: usize, _z: &Zonotope) {}
-    /// The final logits zonotope (`1 × classes`). Also called on the
-    /// non-finite early exit, with the unbounded logits placeholder.
-    fn logits(&mut self, _z: &Zonotope) {}
+/// returned logits are bitwise identical whatever the observer. `member`
+/// indexes the sweep's member slice; `()` observes nothing.
+pub trait ZonotopeObserver {
+    /// The member's input state, once it passed its entry deadline check.
+    fn input(&mut self, _member: usize, _z: &Zonotope) {}
+    /// The member's abstract state after encoder layer `layer` (its input
+    /// reduction, if any, has already been applied — reduction only
+    /// loosens, so the layer output still contains every concrete layer
+    /// output).
+    fn layer_output(&mut self, _member: usize, _layer: usize, _z: &Zonotope) {}
+    /// The member's final logits zonotope (`1 × classes`). Also called on
+    /// the non-finite early exit, with the unbounded logits placeholder.
+    fn logits(&mut self, _member: usize, _z: &Zonotope) {}
 }
 
-/// A [`SoundnessProbe`] that drops every snapshot (the default path).
-pub struct NoSnapshots;
+impl ZonotopeObserver for () {}
 
-impl SoundnessProbe for NoSnapshots {}
+/// One member of a propagation sweep: an input region over the sweep's
+/// network plus the arguments that vary per query. [`Member::new`] is a
+/// cold, deadline-free run of the whole network; override fields with
+/// struct-update syntax (`Member { deadline, ..Member::new(input) }`).
+#[derive(Debug, Clone, Copy)]
+pub struct Member<'a> {
+    /// The state entering encoder layer `start_layer`: the input region of
+    /// a cold run, or the state snapshotted after layer `start_layer - 1`
+    /// by an earlier run over the *exact same* region, network and config.
+    pub input: &'a Zonotope,
+    /// First encoder layer to run; `net.layers.len()` goes straight to
+    /// pooling.
+    pub start_layer: usize,
+    /// Leading ε columns of `input` protected from every per-layer
+    /// reduction, so their column indices survive to the logits (the
+    /// refinement ladder reads per-symbol margin gradients off them). The
+    /// reduction budget is raised to at least this many symbols.
+    pub protect_eps: usize,
+    /// Cooperative deadline, polled on entry, before every layer the member
+    /// runs and before pooling.
+    pub deadline: Deadline,
+}
+
+impl<'a> Member<'a> {
+    /// A cold, unprotected, deadline-free member over `input`.
+    pub fn new(input: &'a Zonotope) -> Self {
+        Member {
+            input,
+            start_layer: 0,
+            protect_eps: 0,
+            deadline: Deadline::none(),
+        }
+    }
+}
 
 /// Propagates an input-region zonotope through the whole network and returns
 /// the logits zonotope (`1 × classes`).
 pub fn propagate(net: &VerifiableTransformer, input: &Zonotope, cfg: &DeepTConfig) -> Zonotope {
-    propagate_probed(net, input, cfg, &NoopProbe)
-}
-
-/// [`propagate`] with per-stage zonotope snapshots delivered to `snap`; see
-/// [`SoundnessProbe`]. The returned logits are bitwise identical to
-/// [`propagate`].
-pub fn propagate_with_snapshots(
-    net: &VerifiableTransformer,
-    input: &Zonotope,
-    cfg: &DeepTConfig,
-    snap: &mut dyn SoundnessProbe,
-) -> Zonotope {
-    match propagate_inner(net, input, cfg, Deadline::none(), &NoopProbe, snap) {
-        Ok(out) => out,
-        Err(DeadlineExceeded) => unreachable!("Deadline::none() never expires"),
-    }
-}
-
-/// [`propagate_with_snapshots`] with a cooperative [`Deadline`], polled
-/// between encoder layers. Used by the refinement ladder (`crates/refine`)
-/// to capture resumable layer-boundary states during a deadline-bounded
-/// pass. A run that completes is bitwise identical to
-/// [`propagate_with_snapshots`].
-///
-/// # Errors
-///
-/// Returns [`DeadlineExceeded`] if the deadline expired between layers.
-pub fn propagate_snapshots_deadline(
-    net: &VerifiableTransformer,
-    input: &Zonotope,
-    cfg: &DeepTConfig,
-    deadline: Deadline,
-    snap: &mut dyn SoundnessProbe,
-) -> Result<Zonotope, DeadlineExceeded> {
-    propagate_inner(net, input, cfg, deadline, &NoopProbe, snap)
-}
-
-/// [`propagate`] with telemetry: every encoder layer, abstract transformer
-/// and noise-symbol reduction reports a span to `probe`, with zonotope
-/// precision stats and thread-pool counters (workers, tasks, busy time)
-/// computed only when the probe is enabled.
-///
-/// The probe only observes — the returned logits zonotope is bitwise
-/// identical to the unprobed result (see `tests/telemetry_trace.rs`).
-pub fn propagate_probed(
-    net: &VerifiableTransformer,
-    input: &Zonotope,
-    cfg: &DeepTConfig,
-    probe: &dyn Probe,
-) -> Zonotope {
-    match propagate_deadline_probed(net, input, cfg, Deadline::none(), probe) {
-        Ok(out) => out,
-        Err(DeadlineExceeded) => unreachable!("Deadline::none() never expires"),
-    }
-}
-
-/// [`propagate_probed`] with a cooperative [`Deadline`], polled between
-/// encoder layers (and before pooling) so an over-budget query unwinds at a
-/// layer boundary instead of running to completion.
-///
-/// With `Deadline::none()` the result is bitwise identical to
-/// [`propagate_probed`]; the checks never read the clock in that case.
-///
-/// # Errors
-///
-/// Returns [`DeadlineExceeded`] if the deadline expired between layers.
-pub fn propagate_deadline_probed(
-    net: &VerifiableTransformer,
-    input: &Zonotope,
-    cfg: &DeepTConfig,
-    deadline: Deadline,
-    probe: &dyn Probe,
-) -> Result<Zonotope, DeadlineExceeded> {
-    propagate_suffix_deadline_probed(net, input, cfg, 0, 0, deadline, probe)
-}
-
-/// [`propagate_deadline_probed`] generalized for abstraction refinement
-/// (`crates/refine`): propagation starts at encoder layer `start_layer`
-/// (`0` runs the whole network; `k` resumes from a state snapshotted after
-/// layer `k - 1`, as captured by [`propagate_with_snapshots`]), and the
-/// first `protect_eps` noise-symbol columns of `input` are protected from
-/// every per-layer reduction, so their column indices survive unchanged all
-/// the way to the logits. The protected prefix lets a refinement loop read
-/// per-symbol margin gradients directly off the output zonotope.
-///
-/// With `start_layer = 0` and `protect_eps = 0` this is bitwise identical
-/// to [`propagate_deadline_probed`]. The effective reduction budget is
-/// raised to at least `protect_eps` (the reducer cannot drop below the
-/// protected prefix).
-///
-/// # Errors
-///
-/// Returns [`DeadlineExceeded`] if the deadline expired between layers.
-pub fn propagate_suffix_deadline_probed(
-    net: &VerifiableTransformer,
-    input: &Zonotope,
-    cfg: &DeepTConfig,
-    start_layer: usize,
-    protect_eps: usize,
-    deadline: Deadline,
-    probe: &dyn Probe,
-) -> Result<Zonotope, DeadlineExceeded> {
-    propagate_suffix_snapshots_deadline_probed(
+    only(propagate_batch(
         net,
-        input,
+        &[Member::new(input)],
         cfg,
-        start_layer,
-        protect_eps,
-        deadline,
-        probe,
-        &mut NoSnapshots,
-    )
+        &NoopProbe,
+        &mut (),
+    ))
 }
 
-/// [`propagate_suffix_deadline_probed`] with per-stage zonotope snapshots
-/// delivered to `snap` (see [`SoundnessProbe`]). This is the state-cache
-/// entry point of `crates/serve`: a cold run captures every layer-boundary
-/// state through `snap`, and a warm run resumes from a cached state by
-/// passing it as `input` with `start_layer` set to the layer after the
-/// snapshot. Because `snap` only reads, and `start_layer = k + 1` replays
-/// exactly the layers the cold run had left, the logits are bitwise
-/// identical to the cold-start result.
+/// Propagates every member through the network in one lockstep sweep and
+/// returns each member's logits zonotope (`1 × classes`), or
+/// [`DeadlineExceeded`] for a member whose deadline expired at a
+/// checkpoint.
 ///
-/// # Errors
+/// This is the one propagation loop: a single query is a sweep of one.
+/// The outer loop walks encoder layers, the inner loop walks the members
+/// that run that layer, so a batch traverses each layer's weights together.
+/// Every member runs the same per-layer pipeline (reduction → encoder
+/// layer, then pooling) on its own state; members never exchange abstract
+/// state, so a member's logits are **bitwise identical** to a one-member
+/// sweep of it, and a resumed member's to its cold start.
 ///
-/// Returns [`DeadlineExceeded`] if the deadline expired between layers.
-#[allow(clippy::too_many_arguments)]
-pub fn propagate_suffix_snapshots_deadline_probed(
+/// Per member, in order: the deadline is checked on entry and
+/// `observer.input` fires; before each layer from `start_layer` on the
+/// deadline is checked, the layer runs and `observer.layer_output` fires; a
+/// state with a non-finite entry ends the member at once with unbounded
+/// logits (`observer.logits` fires on them); otherwise the deadline is
+/// checked before pooling and `observer.logits` fires on the pooled
+/// logits. An expired member leaves the sweep; its siblings go on.
+///
+/// Telemetry: if any member passes its entry check, the sweep reports one
+/// [`SpanKind::Propagate`] span to `probe`, holding each running member's
+/// `EncoderLayer(i)` and `Pooling` spans. Every layer, abstract transformer
+/// and reduction reports zonotope precision stats and thread-pool counters
+/// only when the probe is enabled, and the probe never changes a bit of the
+/// result (see `tests/telemetry_trace.rs`). A one-member sweep also puts
+/// its logits stats and thread-pool counters on the `Propagate` span.
+///
+/// # Panics
+///
+/// Panics if a member's `start_layer` exceeds `net.layers.len()`.
+pub fn propagate_batch(
     net: &VerifiableTransformer,
-    input: &Zonotope,
+    members: &[Member<'_>],
     cfg: &DeepTConfig,
-    start_layer: usize,
-    protect_eps: usize,
-    deadline: Deadline,
     probe: &dyn Probe,
-    snap: &mut dyn SoundnessProbe,
-) -> Result<Zonotope, DeadlineExceeded> {
-    probe.span_enter(SpanKind::Propagate);
-    let par = probe.enabled().then(parallel::snapshot);
-    let out = propagate_inner_from(
-        net,
-        input,
-        cfg,
-        start_layer,
-        protect_eps,
-        deadline,
-        probe,
-        snap,
+    observer: &mut dyn ZonotopeObserver,
+) -> Vec<Result<Zonotope, DeadlineExceeded>> {
+    assert!(
+        members.iter().all(|m| m.start_layer <= net.layers.len()),
+        "start layer out of range"
     );
-    if let Some(before) = par {
-        probe.parallel(parallel_stats_since(&before));
+    // A member propagates while its slot in `states` holds a state, and
+    // leaves the sweep with its entry in `results`: logits or a timeout.
+    let mut states: Vec<Option<Zonotope>> = Vec::with_capacity(members.len());
+    let mut results: Vec<Option<Result<Zonotope, DeadlineExceeded>>> = vec![None; members.len()];
+    for (m, member) in members.iter().enumerate() {
+        states.push(match member.deadline.check() {
+            Ok(()) => {
+                observer.input(m, member.input);
+                Some(member.input.clone())
+            }
+            Err(e) => {
+                results[m] = Some(Err(e));
+                None
+            }
+        });
     }
-    let stats = match &out {
-        Ok(z) => probe.enabled().then(|| z.telemetry_stats()),
-        Err(_) => None,
-    };
-    probe.span_exit(SpanKind::Propagate, stats, 0);
-    out
-}
-
-fn propagate_inner(
-    net: &VerifiableTransformer,
-    input: &Zonotope,
-    cfg: &DeepTConfig,
-    deadline: Deadline,
-    probe: &dyn Probe,
-    snap: &mut dyn SoundnessProbe,
-) -> Result<Zonotope, DeadlineExceeded> {
-    propagate_inner_from(net, input, cfg, 0, 0, deadline, probe, snap)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn propagate_inner_from(
-    net: &VerifiableTransformer,
-    input: &Zonotope,
-    cfg: &DeepTConfig,
-    start_layer: usize,
-    protect: usize,
-    deadline: Deadline,
-    probe: &dyn Probe,
-    snap: &mut dyn SoundnessProbe,
-) -> Result<Zonotope, DeadlineExceeded> {
-    let mut x = input.clone();
-    snap.input(&x);
-    let last = net.layers.len().saturating_sub(1);
-    for (i, layer) in net.layers.iter().enumerate().skip(start_layer) {
-        // Cancellation checkpoint: between layers, never mid-transformer,
-        // so a completed run is unaffected by the deadline's presence.
-        deadline.check()?;
-        x = layer_step(net, layer, x, i, last, cfg, protect, probe);
-        snap.layer_output(i, &x);
-        if x.has_non_finite() {
-            let unbounded = unbounded_logits(net, &x);
-            snap.logits(&unbounded);
-            return Ok(unbounded);
+    if states.iter().any(Option::is_some) {
+        probe.span_enter(SpanKind::Propagate);
+        let par = (members.len() == 1 && probe.enabled()).then(parallel::snapshot);
+        let last = net.layers.len().saturating_sub(1);
+        for (i, layer) in net.layers.iter().enumerate() {
+            for (m, member) in members.iter().enumerate() {
+                if i < member.start_layer {
+                    continue;
+                }
+                let Some(x) = states[m].take() else { continue };
+                // Cancellation checkpoint: between layers, never
+                // mid-transformer, so a completed run is unaffected by the
+                // deadline's presence.
+                if let Err(e) = member.deadline.check() {
+                    results[m] = Some(Err(e));
+                    continue;
+                }
+                let x = layer_step(net, layer, x, i, last, cfg, member.protect_eps, probe);
+                observer.layer_output(m, i, &x);
+                if x.has_non_finite() {
+                    let unbounded = unbounded_logits(net, &x);
+                    observer.logits(m, &unbounded);
+                    results[m] = Some(Ok(unbounded));
+                } else {
+                    states[m] = Some(x);
+                }
+            }
         }
+        for (m, member) in members.iter().enumerate() {
+            let Some(x) = states[m].take() else { continue };
+            results[m] = Some(member.deadline.check().map(|()| {
+                let logits = pool_logits(net, &x, probe);
+                observer.logits(m, &logits);
+                logits
+            }));
+        }
+        if let Some(before) = par {
+            probe.parallel(parallel_stats_since(&before));
+        }
+        let stats = match &results[..] {
+            [Some(Ok(z))] if probe.enabled() => Some(z.telemetry_stats()),
+            _ => None,
+        };
+        probe.span_exit(SpanKind::Propagate, stats, 0);
     }
-    deadline.check()?;
-    let logits = pool_logits(net, &x, probe);
-    snap.logits(&logits);
-    Ok(logits)
+    results
+        .into_iter()
+        .map(|r| r.expect("every sweep member resolves to a result"))
+        .collect()
+}
+
+/// The only result of a deadline-free one-member sweep.
+fn only<T>(results: Vec<Result<T, DeadlineExceeded>>) -> T {
+    match results.into_iter().next() {
+        Some(Ok(out)) => out,
+        _ => unreachable!("Deadline::none() never expires"),
+    }
 }
 
 /// One encoder layer worth of abstract propagation — input reduction plus
-/// the layer's transformers, with per-layer telemetry. Shared verbatim by
-/// the serial sweep ([`propagate_inner_from`]) and the lockstep batched
-/// sweep ([`certify_batch_deadline_probed`]), which is what makes a fused
-/// batch member bitwise identical to its serially-certified twin.
+/// the layer's transformers, with per-layer telemetry.
 #[allow(clippy::too_many_arguments)]
 fn layer_step(
     net: &VerifiableTransformer,
@@ -413,7 +369,7 @@ pub fn certify(
     certify_probed(net, input, true_label, cfg, &NoopProbe)
 }
 
-/// [`certify`] with telemetry; see [`propagate_probed`].
+/// [`certify`] with telemetry; see [`propagate_batch`].
 pub fn certify_probed(
     net: &VerifiableTransformer,
     input: &Zonotope,
@@ -421,199 +377,36 @@ pub fn certify_probed(
     cfg: &DeepTConfig,
     probe: &dyn Probe,
 ) -> CertResult {
-    match certify_deadline_probed(net, input, true_label, cfg, Deadline::none(), probe) {
-        Ok(res) => res,
-        Err(DeadlineExceeded) => unreachable!("Deadline::none() never expires"),
-    }
+    only(certify_batch(
+        net,
+        &[Member::new(input)],
+        true_label,
+        cfg,
+        probe,
+        &mut (),
+    ))
 }
 
-/// [`certify`] with a cooperative [`Deadline`]: the budget is polled between
-/// encoder layers and between per-class margin queries, so an over-budget
-/// certification returns [`DeadlineExceeded`] at the next checkpoint instead
-/// of running arbitrarily long. A query that completes is bitwise identical
-/// to the deadline-free result.
-///
-/// # Errors
-///
-/// Returns [`DeadlineExceeded`] if the deadline expired at a checkpoint.
-pub fn certify_deadline(
+/// Certifies that every point of every member's region classifies as
+/// `true_label`: the [`propagate_batch`] sweep, then each member's
+/// per-class margin queries, with the member's deadline polled between
+/// them. A member that completes is bitwise identical to a deadline-free
+/// [`certify`] of the same query.
+pub fn certify_batch(
     net: &VerifiableTransformer,
-    input: &Zonotope,
+    members: &[Member<'_>],
     true_label: usize,
     cfg: &DeepTConfig,
-    deadline: Deadline,
-) -> Result<CertResult, DeadlineExceeded> {
-    certify_deadline_probed(net, input, true_label, cfg, deadline, &NoopProbe)
-}
-
-/// [`certify_deadline`] with telemetry; see [`propagate_deadline_probed`].
-///
-/// # Errors
-///
-/// Returns [`DeadlineExceeded`] if the deadline expired at a checkpoint.
-pub fn certify_deadline_probed(
-    net: &VerifiableTransformer,
-    input: &Zonotope,
-    true_label: usize,
-    cfg: &DeepTConfig,
-    deadline: Deadline,
     probe: &dyn Probe,
-) -> Result<CertResult, DeadlineExceeded> {
-    deadline.check()?;
-    let logits = propagate_deadline_probed(net, input, cfg, deadline, probe)?;
-    let margins = margins_from_zonotope_deadline(&logits, true_label, deadline)?;
-    Ok(CertResult::from_margins(margins))
-}
-
-/// One member of a fused certification batch: an input region over the same
-/// network, its own `true_label`, and its own cooperative [`Deadline`].
-pub struct BatchQuery<'a> {
-    /// The input region for this member.
-    pub input: &'a Zonotope,
-    /// The class every point of the region must classify as.
-    pub true_label: usize,
-    /// Per-member deadline, polled at every layer boundary.
-    pub deadline: Deadline,
-}
-
-/// Certifies a batch of queries against the same network in one lockstep
-/// layer sweep: the outer loop walks encoder layers, the inner loop walks
-/// batch members, so the whole batch traverses each layer's weights
-/// together (one pass over the model per layer instead of one per member).
-///
-/// Every member runs exactly the serial per-layer pipeline
-/// (reduction → encoder layer, then pooling and per-class margins), so a
-/// member's result is **bitwise identical** to
-/// [`certify_deadline_probed`] on the same query — members never exchange
-/// abstract state, only the sweep order changes. Deadlines stay
-/// per-request: each member's deadline is polled at the same layer
-/// boundaries as the serial path, and an expired member drops out of the
-/// sweep with [`DeadlineExceeded`] while the stragglers finish
-/// individually.
-pub fn certify_batch_deadline_probed(
-    net: &VerifiableTransformer,
-    queries: &[BatchQuery<'_>],
-    cfg: &DeepTConfig,
-    probe: &dyn Probe,
+    observer: &mut dyn ZonotopeObserver,
 ) -> Vec<Result<CertResult, DeadlineExceeded>> {
-    certify_batch_resumable(net, queries, None, cfg, probe, &mut NoBatchSnapshots)
-}
-
-/// Observer of per-member layer-boundary states during a lockstep batched
-/// sweep — the batched counterpart of [`SoundnessProbe`], used by the serve
-/// state cache to capture resumable snapshots from fused runs. Hooks only
-/// read, so batch results are bitwise identical with or without a sink.
-pub trait BatchSnapshotSink {
-    /// The abstract state of batch member `member` after encoder layer
-    /// `layer` (also called on a non-finite state, right before the member
-    /// exits with unbounded logits).
-    fn layer_output(&mut self, _member: usize, _layer: usize, _z: &Zonotope) {}
-}
-
-/// A [`BatchSnapshotSink`] that drops every snapshot (the default path).
-pub struct NoBatchSnapshots;
-
-impl BatchSnapshotSink for NoBatchSnapshots {}
-
-/// [`certify_batch_deadline_probed`] generalized for mid-stack resume: when
-/// `starts` is provided, member `m` joins the lockstep sweep at encoder
-/// layer `starts[m]` — its `input` must then be the state snapshotted after
-/// layer `starts[m] - 1` (as captured by a [`SoundnessProbe`] or a
-/// [`BatchSnapshotSink`] on an earlier run over the same region and
-/// configuration). `starts[m] = net.layers.len()` skips straight to pooling.
-/// With `starts = None` (all zeros) and [`NoBatchSnapshots`] this is exactly
-/// [`certify_batch_deadline_probed`].
-///
-/// Soundness: a resumed member replays precisely the layers the cold run
-/// had left, through the same [`layer_step`] pipeline, so its margins are
-/// **bitwise identical** to a cold start from layer 0 — provided the caller
-/// resumes only from a snapshot of the *exact same* input region, network
-/// and config (the serve state cache enforces this by full equality, not
-/// hash equality).
-///
-/// # Panics
-///
-/// Panics if `starts` is provided with a length different from `queries`,
-/// or if any entry exceeds `net.layers.len()`.
-pub fn certify_batch_resumable(
-    net: &VerifiableTransformer,
-    queries: &[BatchQuery<'_>],
-    starts: Option<&[usize]>,
-    cfg: &DeepTConfig,
-    probe: &dyn Probe,
-    sink: &mut dyn BatchSnapshotSink,
-) -> Vec<Result<CertResult, DeadlineExceeded>> {
-    let n = queries.len();
-    if let Some(starts) = starts {
-        assert_eq!(starts.len(), n, "one start layer per batch member");
-        assert!(
-            starts.iter().all(|&s| s <= net.layers.len()),
-            "start layer out of range"
-        );
-    }
-    let start_of = |m: usize| starts.map_or(0, |s| s[m]);
-    // Abstract state per member while it is still propagating; a member
-    // leaves the sweep by timing out (slot -> None, result recorded) or by
-    // reaching its logits (slot -> None, logits recorded).
-    let mut states: Vec<Option<Zonotope>> = Vec::with_capacity(n);
-    let mut logits: Vec<Option<Zonotope>> = (0..n).map(|_| None).collect();
-    let mut results: Vec<Option<Result<CertResult, DeadlineExceeded>>> =
-        (0..n).map(|_| None).collect();
-    // Mirrors the serial entry check in `certify_deadline_probed`.
-    for q in queries {
-        states.push(match q.deadline.check() {
-            Ok(()) => Some(q.input.clone()),
-            Err(DeadlineExceeded) => None,
-        });
-    }
-    for (state, result) in states.iter().zip(results.iter_mut()) {
-        if state.is_none() {
-            *result = Some(Err(DeadlineExceeded));
-        }
-    }
-    probe.span_enter(SpanKind::Propagate);
-    let last = net.layers.len().saturating_sub(1);
-    for (i, layer) in net.layers.iter().enumerate() {
-        for (m, q) in queries.iter().enumerate() {
-            if i < start_of(m) {
-                // Resumed member: its input already is the post-layer-i
-                // state of an earlier identical run; it joins the sweep at
-                // its start layer.
-                continue;
-            }
-            let Some(x) = states[m].take() else { continue };
-            if q.deadline.check().is_err() {
-                results[m] = Some(Err(DeadlineExceeded));
-                continue;
-            }
-            let x = layer_step(net, layer, x, i, last, cfg, 0, probe);
-            sink.layer_output(m, i, &x);
-            if x.has_non_finite() {
-                logits[m] = Some(unbounded_logits(net, &x));
-            } else {
-                states[m] = Some(x);
-            }
-        }
-    }
-    for (m, q) in queries.iter().enumerate() {
-        let Some(x) = states[m].take() else { continue };
-        if q.deadline.check().is_err() {
-            results[m] = Some(Err(DeadlineExceeded));
-            continue;
-        }
-        logits[m] = Some(pool_logits(net, &x, probe));
-    }
-    probe.span_exit(SpanKind::Propagate, None, 0);
-    for (m, q) in queries.iter().enumerate() {
-        let Some(z) = logits[m].take() else { continue };
-        results[m] = Some(
-            margins_from_zonotope_deadline(&z, q.true_label, q.deadline)
-                .map(CertResult::from_margins),
-        );
-    }
-    results
+    propagate_batch(net, members, cfg, probe, observer)
         .into_iter()
-        .map(|r| r.expect("every batch member resolves to a result"))
+        .zip(members)
+        .map(|(logits, member)| {
+            let margins = margins_from_zonotope_deadline(&logits?, true_label, member.deadline)?;
+            Ok(CertResult::from_margins(margins))
+        })
         .collect()
 }
 
@@ -909,14 +702,19 @@ mod tests {
         let tokens = [1usize, 2, 3];
         let emb = model.embed(&tokens);
         let region = crate::network::t1_region(&emb, 0, 0.01, PNorm::L2);
-        let res = certify_deadline(
+        let member = Member {
+            deadline: Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1)),
+            ..Member::new(&region)
+        };
+        let res = certify_batch(
             &net,
-            &region,
+            &[member],
             0,
             &DeepTConfig::fast(4000),
-            Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1)),
+            &NoopProbe,
+            &mut (),
         );
-        assert_eq!(res, Err(DeadlineExceeded));
+        assert_eq!(res, [Err(DeadlineExceeded)]);
     }
 
     #[test]
@@ -929,42 +727,14 @@ mod tests {
         let region = crate::network::t1_region(&emb, 1, 0.02, PNorm::Linf);
         let pred = model.predict(&tokens);
         let plain = certify(&net, &region, pred, &cfg);
-        let limited = certify_deadline(
-            &net,
-            &region,
-            pred,
-            &cfg,
-            Deadline::after(std::time::Duration::from_secs(3600)),
-        )
-        .expect("generous deadline must not expire");
+        let member = Member {
+            deadline: Deadline::after(std::time::Duration::from_secs(3600)),
+            ..Member::new(&region)
+        };
+        let limited = certify_batch(&net, &[member], pred, &cfg, &NoopProbe, &mut ())
+            .remove(0)
+            .expect("generous deadline must not expire");
         assert_eq!(plain, limited);
-    }
-
-    #[test]
-    fn suffix_entry_with_zero_offsets_matches_propagate_bitwise() {
-        let model = tiny_model(LayerNormKind::NoStd, 2);
-        let net = VerifiableTransformer::from(&model);
-        let tokens = [1usize, 5, 9, 2];
-        let emb = model.embed(&tokens);
-        let cfg = DeepTConfig::fast(60);
-        for p in [PNorm::L1, PNorm::L2, PNorm::Linf] {
-            let region = crate::network::t1_region(&emb, 1, 0.03, p);
-            let plain = propagate(&net, &region, &cfg);
-            let suffix = propagate_suffix_deadline_probed(
-                &net,
-                &region,
-                &cfg,
-                0,
-                0,
-                Deadline::none(),
-                &NoopProbe,
-            )
-            .expect("Deadline::none() never expires");
-            let (pl, pu) = plain.bounds();
-            let (sl, su) = suffix.bounds();
-            assert_eq!(pl, sl, "{p:?}: lower bounds diverged");
-            assert_eq!(pu, su, "{p:?}: upper bounds diverged");
-        }
     }
 
     /// Collects every layer-boundary state, as the serve state cache does.
@@ -972,8 +742,8 @@ mod tests {
         states: Vec<Zonotope>,
     }
 
-    impl SoundnessProbe for CollectStates {
-        fn layer_output(&mut self, i: usize, z: &Zonotope) {
+    impl ZonotopeObserver for CollectStates {
+        fn layer_output(&mut self, _member: usize, i: usize, z: &Zonotope) {
             assert_eq!(i, self.states.len(), "layer outputs arrive in order");
             self.states.push(z.clone());
         }
@@ -996,20 +766,20 @@ mod tests {
             for p in [PNorm::L1, PNorm::L2, PNorm::Linf] {
                 let region = crate::network::t1_region(&emb, 1, 0.03, p);
                 let mut snap = CollectStates { states: Vec::new() };
-                let cold = propagate_with_snapshots(&net, &region, &cfg, &mut snap);
+                let cold =
+                    propagate_batch(&net, &[Member::new(&region)], &cfg, &NoopProbe, &mut snap)
+                        .remove(0)
+                        .expect("Deadline::none() never expires");
                 assert_eq!(snap.states.len(), net.layers.len());
                 let (cl, cu) = cold.bounds();
                 for (k, state) in snap.states.iter().enumerate() {
-                    let warm = propagate_suffix_deadline_probed(
-                        &net,
-                        state,
-                        &cfg,
-                        k + 1,
-                        0,
-                        Deadline::none(),
-                        &NoopProbe,
-                    )
-                    .expect("Deadline::none() never expires");
+                    let member = Member {
+                        start_layer: k + 1,
+                        ..Member::new(state)
+                    };
+                    let warm = propagate_batch(&net, &[member], &cfg, &NoopProbe, &mut ())
+                        .remove(0)
+                        .expect("Deadline::none() never expires");
                     let (wl, wu) = warm.bounds();
                     assert_eq!(cl, wl, "{p:?} layer {k}: lower bounds diverged");
                     assert_eq!(cu, wu, "{p:?} layer {k}: upper bounds diverged");
@@ -1023,7 +793,7 @@ mod tests {
         states: Vec<Vec<(usize, Zonotope)>>,
     }
 
-    impl BatchSnapshotSink for CollectBatchStates {
+    impl ZonotopeObserver for CollectBatchStates {
         fn layer_output(&mut self, member: usize, layer: usize, z: &Zonotope) {
             self.states[member].push((layer, z.clone()));
         }
@@ -1046,18 +816,11 @@ mod tests {
                 .map(|&eps| crate::network::t1_region(&emb, 1, eps, p))
                 .collect();
             // Cold pass, capturing per-member layer states through the sink.
-            let queries: Vec<BatchQuery<'_>> = regions
-                .iter()
-                .map(|r| BatchQuery {
-                    input: r,
-                    true_label: pred,
-                    deadline: Deadline::none(),
-                })
-                .collect();
+            let members: Vec<Member<'_>> = regions.iter().map(Member::new).collect();
             let mut sink = CollectBatchStates {
                 states: vec![Vec::new(); regions.len()],
             };
-            let cold = certify_batch_resumable(&net, &queries, None, &cfg, &NoopProbe, &mut sink);
+            let cold = certify_batch(&net, &members, pred, &cfg, &NoopProbe, &mut sink);
             // Resume each member from a different depth (0 = cold re-run,
             // 1..=layers = snapshot states), in one batch.
             let n_layers = net.layers.len();
@@ -1077,22 +840,15 @@ mod tests {
                     }
                 })
                 .collect();
-            let warm_queries: Vec<BatchQuery<'_>> = inputs
+            let warm_members: Vec<Member<'_>> = inputs
                 .iter()
-                .map(|r| BatchQuery {
-                    input: r,
-                    true_label: pred,
-                    deadline: Deadline::none(),
+                .zip(&starts)
+                .map(|(r, &start_layer)| Member {
+                    start_layer,
+                    ..Member::new(r)
                 })
                 .collect();
-            let warm = certify_batch_resumable(
-                &net,
-                &warm_queries,
-                Some(&starts),
-                &cfg,
-                &NoopProbe,
-                &mut NoBatchSnapshots,
-            );
+            let warm = certify_batch(&net, &warm_members, pred, &cfg, &NoopProbe, &mut ());
             for (m, (c, w)) in cold.iter().zip(&warm).enumerate() {
                 assert_eq!(
                     c.as_ref().expect("no deadline"),
@@ -1104,7 +860,13 @@ mod tests {
             // The serial snapshot collector and the batched sink see the
             // same states for the same query.
             let mut serial = CollectStates { states: Vec::new() };
-            let _ = propagate_with_snapshots(&net, &regions[0], &cfg, &mut serial);
+            let _ = propagate_batch(
+                &net,
+                &[Member::new(&regions[0])],
+                &cfg,
+                &NoopProbe,
+                &mut serial,
+            );
             assert_eq!(serial.states.len(), sink.states[0].len());
             for (k, (layer, z)) in sink.states[0].iter().enumerate() {
                 assert_eq!(*layer, k);
@@ -1126,16 +888,13 @@ mod tests {
         let protect = region.num_eps();
         assert!(protect > 0, "Linf region must carry input ε symbols");
         let cfg = DeepTConfig::fast(16);
-        let logits = propagate_suffix_deadline_probed(
-            &net,
-            &region,
-            &cfg,
-            0,
-            protect,
-            Deadline::none(),
-            &NoopProbe,
-        )
-        .expect("Deadline::none() never expires");
+        let member = Member {
+            protect_eps: protect,
+            ..Member::new(&region)
+        };
+        let logits = propagate_batch(&net, &[member], &cfg, &NoopProbe, &mut ())
+            .remove(0)
+            .expect("Deadline::none() never expires");
         assert!(
             logits.num_eps() >= protect,
             "protected region symbols must survive to the logits"
@@ -1179,15 +938,8 @@ mod tests {
                     .iter()
                     .map(|&eps| crate::network::t1_region(&emb, 1, eps, p))
                     .collect();
-                let queries: Vec<BatchQuery<'_>> = regions
-                    .iter()
-                    .map(|r| BatchQuery {
-                        input: r,
-                        true_label: pred,
-                        deadline: Deadline::none(),
-                    })
-                    .collect();
-                let batched = certify_batch_deadline_probed(&net, &queries, &cfg, &NoopProbe);
+                let members: Vec<Member<'_>> = regions.iter().map(Member::new).collect();
+                let batched = certify_batch(&net, &members, pred, &cfg, &NoopProbe, &mut ());
                 for (region, got) in regions.iter().zip(&batched) {
                     let serial = certify(&net, region, pred, &cfg);
                     assert_eq!(
@@ -1211,19 +963,14 @@ mod tests {
         let live = crate::network::t1_region(&emb, 0, 0.01, PNorm::L2);
         let dead = crate::network::t1_region(&emb, 0, 0.02, PNorm::L2);
         let expired = Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        let queries = [
-            BatchQuery {
-                input: &dead,
-                true_label: pred,
+        let members = [
+            Member {
                 deadline: expired,
+                ..Member::new(&dead)
             },
-            BatchQuery {
-                input: &live,
-                true_label: pred,
-                deadline: Deadline::none(),
-            },
+            Member::new(&live),
         ];
-        let out = certify_batch_deadline_probed(&net, &queries, &cfg, &NoopProbe);
+        let out = certify_batch(&net, &members, pred, &cfg, &NoopProbe, &mut ());
         assert_eq!(out[0], Err(DeadlineExceeded));
         let serial = certify(&net, &live, pred, &cfg);
         assert_eq!(
@@ -1231,6 +978,93 @@ mod tests {
             &serial,
             "an expired sibling must not perturb a live member"
         );
+    }
+
+    /// Records each member's logits hook and whether any of its layer
+    /// outputs held a non-finite entry.
+    struct ExitWatch {
+        logits: Vec<Option<Zonotope>>,
+        non_finite: Vec<bool>,
+    }
+
+    impl ZonotopeObserver for ExitWatch {
+        fn layer_output(&mut self, member: usize, _layer: usize, z: &Zonotope) {
+            self.non_finite[member] |= z.has_non_finite();
+        }
+        fn logits(&mut self, member: usize, z: &Zonotope) {
+            self.logits[member] = Some(z.clone());
+        }
+    }
+
+    #[test]
+    fn non_finite_member_in_a_fused_sweep() {
+        // Member 1's region is so wide that its bounds overflow mid-stack
+        // (the early exit `verifier.nonfinite_exits` counts); it must get
+        // the unbounded placeholder and a failed verdict without touching
+        // its siblings.
+        let model = tiny_model(LayerNormKind::Std { epsilon: 1e-5 }, 2);
+        let net = VerifiableTransformer::from(&model);
+        let tokens = [1usize, 5, 9, 2];
+        let emb = model.embed(&tokens);
+        let pred = model.predict(&tokens);
+        let cfg = DeepTConfig::fast(60);
+        let regions = [
+            crate::network::t1_region(&emb, 1, 0.01, PNorm::L2),
+            crate::network::t1_region(&emb, 1, 1e300, PNorm::Linf),
+            crate::network::t1_region(&emb, 2, 0.02, PNorm::L1),
+        ];
+        let members: Vec<Member<'_>> = regions.iter().map(Member::new).collect();
+        let mut watch = ExitWatch {
+            logits: vec![None; members.len()],
+            non_finite: vec![false; members.len()],
+        };
+        let fused = certify_batch(&net, &members, pred, &cfg, &NoopProbe, &mut watch);
+        assert_eq!(watch.non_finite, [false, true, false]);
+        let blown = fused[1].as_ref().expect("no deadline in play");
+        assert!(!blown.certified, "an overflowed region must not certify");
+        let placeholder = watch.logits[1]
+            .as_ref()
+            .expect("the non-finite member's logits hook fires");
+        assert!(placeholder.center().iter().all(|&c| c == f64::INFINITY));
+        for m in [0, 2] {
+            let mut alone = ExitWatch {
+                logits: vec![None],
+                non_finite: vec![false],
+            };
+            let serial = certify_batch(&net, &members[m..=m], pred, &cfg, &NoopProbe, &mut alone);
+            assert_eq!(fused[m], serial[0], "member {m}: verdict diverged");
+            assert_eq!(
+                watch.logits[m], alone.logits[0],
+                "member {m}: logits diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn multi_member_sweep_trace_shape() {
+        // The benchmark's per-layer breakdown reads this shape: one
+        // propagate span holding every member's layer and pooling spans.
+        let model = tiny_model(LayerNormKind::NoStd, 2);
+        let net = VerifiableTransformer::from(&model);
+        let emb = model.embed(&[1usize, 5, 9, 2]);
+        let regions: Vec<_> = [0.001, 0.01, 0.02]
+            .iter()
+            .map(|&eps| crate::network::t1_region(&emb, 1, eps, PNorm::L2))
+            .collect();
+        let members: Vec<Member<'_>> = regions.iter().map(Member::new).collect();
+        let collector = deept_telemetry::TraceCollector::new();
+        let _ = propagate_batch(&net, &members, &DeepTConfig::fast(60), &collector, &mut ());
+        let trace = collector.finish();
+        assert_eq!(trace.unbalanced_exits, 0);
+        assert_eq!(trace.spans.len(), 1, "one propagate span per sweep");
+        let root = &trace.spans[0];
+        assert_eq!(root.group, "propagate");
+        let count = |label: &str| root.children.iter().filter(|c| c.label == label).count();
+        for i in 0..net.layers.len() {
+            assert_eq!(count(&format!("encoder_layer[{i}]")), 3, "layer {i}");
+        }
+        assert_eq!(count("pooling"), 3);
+        assert_eq!(root.children.len(), 3 * net.layers.len() + 3);
     }
 
     #[test]

@@ -45,10 +45,13 @@
 //! );
 //! assert!(result.certified);
 //! ```
-
 //!
-//! Every verifier entry point also has a `*_probed` variant taking a
-//! [`deept_telemetry::Probe`], which reports per-layer spans, precision
+//! DeepT has one propagation loop, [`deept::propagate_batch`]: a sweep over
+//! a slice of [`deept::Member`]s (input, start layer, protected ε prefix,
+//! deadline), with a [`deept::ZonotopeObserver`] seeing each member's
+//! abstract states. [`deept::certify_batch`] adds the margins; `propagate`,
+//! `certify` and `certify_probed` are one-member sweeps. The loops that
+//! take a [`deept_telemetry::Probe`] report per-layer spans, precision
 //! metrics and radius-search steps without perturbing the computation.
 
 #![deny(clippy::print_stdout)]
@@ -63,7 +66,7 @@ pub mod statehash;
 pub mod synonym;
 
 pub use deadline::{Deadline, DeadlineExceeded};
-pub use deept::{DeepTConfig, NoSnapshots, SoundnessProbe};
+pub use deept::{DeepTConfig, Member, ZonotopeObserver};
 pub use network::{CertResult, VerifiableTransformer};
 pub use radius::{
     max_certified_radius, max_certified_radius_deadline, max_certified_radius_probed, RadiusOutcome,

@@ -5,18 +5,14 @@ use deept_telemetry::{NoopProbe, Probe, RadiusStep, SpanKind};
 
 use crate::deadline::{Deadline, DeadlineExceeded};
 
-/// Cached handle into the process-global (gated) metrics registry: total
-/// verifier queries issued by radius searches (observability only; never
-/// influences the search).
-fn radius_queries_total() -> &'static deept_metrics::Counter {
-    static C: std::sync::OnceLock<deept_metrics::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| {
-        deept_metrics::global().counter(
-            "deept_radius_queries_total",
-            "Certification queries issued by radius binary searches.",
-        )
-    })
-}
+// Cached handle into the process-global (gated) metrics registry: total
+// verifier queries issued by radius searches (observability only; never
+// influences the search).
+deept_metrics::hot_counter!(
+    radius_queries_total,
+    "deept_radius_queries_total",
+    "Certification queries issued by radius binary searches."
+);
 
 /// Result of a deadline-aware radius search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,8 +80,8 @@ pub fn max_certified_radius_probed(
 ///
 /// The deadline is polled between search iterations, and the `verify`
 /// closure may itself unwind with [`DeadlineExceeded`] (e.g. from
-/// [`certify_deadline`](crate::deept::certify_deadline) checking between
-/// encoder layers or per-class margin queries). Either way the search stops
+/// [`certify_batch`](crate::deept::certify_batch) checking between encoder
+/// layers or per-class margin queries). Either way the search stops
 /// at a query boundary and reports the best certified radius found so far —
 /// a sound lower bound — instead of hanging past the budget.
 ///
@@ -245,7 +241,7 @@ mod tests {
     #[test]
     fn closure_timeout_reports_partial_lower_bound() {
         // The closure certifies radii up to 0.5 but gives out after a few
-        // queries, mimicking certify_deadline unwinding mid-search.
+        // queries, mimicking certify_batch unwinding mid-search.
         let mut calls = 0;
         let outcome = max_certified_radius_deadline(
             |r| {

@@ -12,10 +12,7 @@ use deept_core::{PNorm, Zonotope};
 use deept_nn::{LayerNormKind, TransformerClassifier, TransformerConfig};
 use deept_tensor::parallel;
 use deept_tensor::parallel::KernelMode;
-use deept_verifier::deept::{
-    certify, propagate_suffix_deadline_probed, propagate_with_snapshots, DeepTConfig,
-    SoundnessProbe,
-};
+use deept_verifier::deept::{certify, propagate_batch, DeepTConfig, Member, ZonotopeObserver};
 use deept_verifier::network::{t1_region, VerifiableTransformer};
 use deept_verifier::Deadline;
 use rand::SeedableRng;
@@ -42,8 +39,8 @@ struct CollectStates {
     states: Vec<Zonotope>,
 }
 
-impl SoundnessProbe for CollectStates {
-    fn layer_output(&mut self, _i: usize, z: &Zonotope) {
+impl ZonotopeObserver for CollectStates {
+    fn layer_output(&mut self, _member: usize, _i: usize, z: &Zonotope) {
         self.states.push(z.clone());
     }
 }
@@ -59,19 +56,17 @@ fn cold_and_warm_margins(ln: LayerNormKind, p: PNorm) -> Vec<Vec<f64>> {
     let region = t1_region(&emb, 1, 0.03, p);
     let cold = certify(&net, &region, 0, &cfg);
     let mut snap = CollectStates { states: Vec::new() };
-    let _ = propagate_with_snapshots(&net, &region, &cfg, &mut snap);
+    let noop = deept_telemetry::NoopProbe;
+    let _ = propagate_batch(&net, &[Member::new(&region)], &cfg, &noop, &mut snap);
     let mut all = vec![cold.margins.clone()];
     for (k, state) in snap.states.iter().enumerate() {
-        let logits = propagate_suffix_deadline_probed(
-            &net,
-            state,
-            &cfg,
-            k + 1,
-            0,
-            Deadline::none(),
-            &deept_telemetry::NoopProbe,
-        )
-        .expect("Deadline::none() never expires");
+        let member = Member {
+            start_layer: k + 1,
+            ..Member::new(state)
+        };
+        let logits = propagate_batch(&net, &[member], &cfg, &noop, &mut ())
+            .remove(0)
+            .expect("Deadline::none() never expires");
         let warm =
             deept_verifier::network::margins_from_zonotope_deadline(&logits, 0, Deadline::none())
                 .expect("no deadline");

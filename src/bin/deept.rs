@@ -67,7 +67,7 @@ use deept::serve::protocol::{CertifyRequest, RadiusSearchSpec, Request, Response
 use deept::serve::server::{ServeConfig, Server};
 use deept::telemetry::{NoopProbe, Probe, TraceCollector, VerificationTrace};
 use deept::verifier::deadline::{Deadline, DeadlineExceeded};
-use deept::verifier::deept::{certify_deadline_probed, DeepTConfig};
+use deept::verifier::deept::{certify_batch, DeepTConfig, Member};
 use deept::verifier::network::{t1_region, VerifiableTransformer};
 use deept::verifier::radius::{max_certified_radius_deadline, RadiusOutcome};
 use deept::verifier::synonym;
@@ -333,7 +333,11 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     } else if let Some(radius) = flag(args, "--radius") {
         let radius: f64 = radius.parse().map_err(|_| "--radius must be a number")?;
         let region = t1_region(&emb, position, radius, p);
-        match certify_deadline_probed(&net, &region, label, &cfg, deadline, probe) {
+        let member = Member {
+            deadline,
+            ..Member::new(&region)
+        };
+        match certify_batch(&net, &[member], label, &cfg, probe, &mut ()).remove(0) {
             Ok(res) => println!(
                 "radius {radius} ({p}) at position {position}: certified = {} (margin {:.5})",
                 res.certified,
@@ -347,7 +351,13 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     } else {
         let check = |radius: f64| -> Result<bool, DeadlineExceeded> {
             let region = t1_region(&emb, position, radius, p);
-            Ok(certify_deadline_probed(&net, &region, label, &cfg, deadline, probe)?.certified)
+            let member = Member {
+                deadline,
+                ..Member::new(&region)
+            };
+            Ok(certify_batch(&net, &[member], label, &cfg, probe, &mut ())
+                .remove(0)?
+                .certified)
         };
         match max_certified_radius_deadline(check, 0.01, 16, deadline, probe) {
             RadiusOutcome::Completed(r) => {
@@ -413,14 +423,16 @@ fn cmd_demo_trace(args: &[String]) -> Result<(), String> {
     let collector = TraceCollector::new();
     let outcome = max_certified_radius_deadline(
         |radius| {
-            Ok(certify_deadline_probed(
+            let region = t1_region(&emb, 0, radius, PNorm::L2);
+            Ok(certify_batch(
                 &net,
-                &t1_region(&emb, 0, radius, PNorm::L2),
+                &[Member::new(&region)],
                 label,
                 &cfg,
-                Deadline::none(),
                 &collector,
-            )?
+                &mut (),
+            )
+            .remove(0)?
             .certified)
         },
         0.01,
@@ -1153,7 +1165,7 @@ fn cmd_fuzz_soundness(args: &[String]) -> Result<(), String> {
 /// by the `eps_mode_equivalence` tests), so this measures representation
 /// cost only.
 fn cmd_bench_eps(args: &[String]) -> Result<(), String> {
-    use deept::verifier::deept::propagate_with_snapshots;
+    use deept::verifier::deept::propagate_batch;
     use deept::zonotope::eps;
     use deept::zonotope::Zonotope;
     use std::time::Instant;
@@ -1218,15 +1230,14 @@ fn cmd_bench_eps(args: &[String]) -> Result<(), String> {
         layer_marks: Vec<std::time::Instant>,
         started: Option<std::time::Instant>,
     }
-    impl deept::verifier::SoundnessProbe for PeakProbe {
-        fn input(&mut self, _z: &Zonotope) {
+    impl deept::verifier::ZonotopeObserver for PeakProbe {
+        fn input(&mut self, _member: usize, _z: &Zonotope) {
             self.started = Some(std::time::Instant::now());
         }
-        fn layer_output(&mut self, _i: usize, z: &Zonotope) {
+        fn layer_output(&mut self, _member: usize, _i: usize, z: &Zonotope) {
             self.peak_eps_cols = self.peak_eps_cols.max(z.num_eps());
             self.layer_marks.push(std::time::Instant::now());
         }
-        fn logits(&mut self, _z: &Zonotope) {}
     }
 
     fn median(xs: &mut [f64]) -> f64 {
@@ -1258,7 +1269,10 @@ fn cmd_bench_eps(args: &[String]) -> Result<(), String> {
         for _ in 0..repeats {
             let mut probe = PeakProbe::default();
             let t0 = Instant::now();
-            let logits = propagate_with_snapshots(&net, &region, &cfg, &mut probe);
+            let logits =
+                propagate_batch(&net, &[Member::new(&region)], &cfg, &NoopProbe, &mut probe)
+                    .remove(0)
+                    .expect("Deadline::none() never expires");
             totals.push(t0.elapsed().as_secs_f64());
             let mut prev = probe.started.unwrap_or(t0);
             for (i, &mark) in probe.layer_marks.iter().enumerate() {
@@ -1288,7 +1302,7 @@ fn cmd_bench_eps(args: &[String]) -> Result<(), String> {
         for (mode, force) in [("dense", true), ("blocked", false)] {
             eps::set_force_dense(Some(force));
             let collector = TraceCollector::new();
-            let _ = deept::verifier::deept::propagate_probed(&net, &region, &cfg, &collector);
+            let _ = propagate_batch(&net, &[Member::new(&region)], &cfg, &collector, &mut ());
             let trace = collector.finish();
             trace
                 .save_json(std::path::Path::new(&format!(
@@ -1729,29 +1743,25 @@ fn cmd_bench_refine(args: &[String]) -> Result<(), String> {
             let region = t1_region(&emb, position, radius, PNorm::Linf);
 
             let t0 = Instant::now();
-            let fast_certified = certify_deadline_probed(
-                &net,
-                &region,
-                label,
-                &fast_cfg,
-                Deadline::after_ms(Some(deadline_ms)),
-                &NoopProbe,
-            )
-            .map(|r| r.certified)
-            .unwrap_or(false);
+            let member = Member {
+                deadline: Deadline::after_ms(Some(deadline_ms)),
+                ..Member::new(&region)
+            };
+            let fast_certified =
+                certify_batch(&net, &[member], label, &fast_cfg, &NoopProbe, &mut ())
+                    .remove(0)
+                    .is_ok_and(|r| r.certified);
             let fast_ms = t0.elapsed().as_secs_f64() * 1e3;
 
             let t0 = Instant::now();
-            let precise_certified = certify_deadline_probed(
-                &net,
-                &region,
-                label,
-                &precise_cfg,
-                Deadline::after_ms(Some(deadline_ms)),
-                &NoopProbe,
-            )
-            .map(|r| r.certified)
-            .unwrap_or(false);
+            let member = Member {
+                deadline: Deadline::after_ms(Some(deadline_ms)),
+                ..Member::new(&region)
+            };
+            let precise_certified =
+                certify_batch(&net, &[member], label, &precise_cfg, &NoopProbe, &mut ())
+                    .remove(0)
+                    .is_ok_and(|r| r.certified);
             let precise_ms = t0.elapsed().as_secs_f64() * 1e3;
 
             let t0 = Instant::now();

@@ -7,7 +7,9 @@
 mod common;
 
 use deept::telemetry::TraceCollector;
-use deept::verifier::deept::{certify, certify_probed, propagate, propagate_probed, DeepTConfig};
+use deept::verifier::deept::{
+    certify, certify_probed, propagate, propagate_batch, DeepTConfig, Member,
+};
 use deept::verifier::network::{t1_region, VerifiableTransformer};
 use deept::verifier::radius::{max_certified_radius, max_certified_radius_probed};
 use deept::zonotope::PNorm;
@@ -23,7 +25,9 @@ fn probed_propagation_is_bitwise_identical() {
         let region = t1_region(&emb, 1, 0.02, p);
         let plain = propagate(&net, &region, &cfg);
         let collector = TraceCollector::new();
-        let probed = propagate_probed(&net, &region, &cfg, &collector);
+        let probed = propagate_batch(&net, &[Member::new(&region)], &cfg, &collector, &mut ())
+            .remove(0)
+            .expect("Deadline::none() never expires");
         // Bitwise identity: the probe observes, it never influences.
         assert_eq!(plain, probed, "probed logits differ for {p:?}");
         let plain_cert = certify(&net, &region, label, &cfg);
