@@ -37,6 +37,12 @@ pub use registry::{
     RegistrySnapshot,
 };
 
+/// The logging crate, re-exported so `deept-tensor` can log warnings
+/// through this crate without a dependency edge of its own (packages that
+/// build the library crates by path keep their lockfiles unchanged).
+#[doc(hidden)]
+pub use deept_telemetry as telemetry;
+
 use std::sync::atomic::{AtomicI8, Ordering};
 use std::sync::OnceLock;
 

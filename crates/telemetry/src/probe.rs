@@ -117,7 +117,7 @@ pub struct ReduceEvent {
 }
 
 /// Parallel-execution counters for one stage, reported by instrumentation
-/// sites that wrap work running on the scoped thread pool.
+/// sites that wrap work running on the parallel worker pool.
 ///
 /// Counters are deltas over the stage (not process totals). `busy_ns` sums
 /// worker busy time across workers, so `busy_ns` compared against the

@@ -28,9 +28,12 @@ deept_metrics::hot_counter!(
     "Scratch-arena requests that fell back to fresh allocations."
 );
 
-/// Buffers retained per thread. Beyond this, returned buffers are dropped —
-/// the pool exists to serve the steady-state working set of one propagation,
-/// not to hoard every transient.
+/// Buffers retained per thread. Beyond this, the oldest pooled buffer is
+/// dropped to make room — the pool exists to serve the steady-state working
+/// set of one propagation, not to hoard every transient. Evicting the oldest
+/// rather than the returned buffer matters on long-lived threads (the main
+/// thread, the parallel pool's workers): a pool filled by one wide product
+/// with buffers that fit no later request would otherwise never refill.
 const MAX_POOLED: usize = 16;
 
 /// Buffers whose capacity exceeds the request by more than this factor are
@@ -73,8 +76,8 @@ pub fn take_zeroed(len: usize) -> Vec<f64> {
 
 /// Returns a buffer to the calling thread's pool for later reuse.
 ///
-/// Zero-capacity buffers and overflow beyond the pool limit are simply
-/// dropped.
+/// Zero-capacity buffers are simply dropped; a full pool drops its oldest
+/// buffer to make room.
 pub fn give(mut buf: Vec<f64>) {
     if buf.capacity() == 0 {
         return;
@@ -82,9 +85,10 @@ pub fn give(mut buf: Vec<f64>) {
     buf.clear();
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        if pool.len() < MAX_POOLED {
-            pool.push(buf);
+        if pool.len() == MAX_POOLED {
+            pool.remove(0);
         }
+        pool.push(buf);
     });
 }
 
@@ -146,6 +150,22 @@ mod tests {
         assert!(small.capacity() < (1 << 16));
         let delta = snapshot().since(&before);
         assert!(delta.misses >= 1);
+    }
+
+    #[test]
+    fn a_pool_full_of_misfits_refills_with_returned_buffers() {
+        for _ in 0..MAX_POOLED {
+            give(Vec::with_capacity(1 << 16));
+        }
+        give(take_zeroed(8));
+        POOL.with(|p| {
+            let pool = p.borrow();
+            assert_eq!(pool.len(), MAX_POOLED);
+            assert!(
+                pool.iter().any(|b| b.capacity() < 1 << 16),
+                "the returned buffer must displace a misfit"
+            );
+        });
     }
 
     #[test]

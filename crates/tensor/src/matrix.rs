@@ -14,8 +14,8 @@ const KC: usize = 128;
 const JC: usize = 64;
 
 /// Minimum output rows per parallel chunk for a kernel whose per-row cost
-/// is `row_flops` multiply-adds: keeps tiny products inline so thread
-/// spawns never dominate.
+/// is `row_flops` multiply-adds: keeps tiny products inline so handing
+/// chunks to the worker pool never dominates.
 fn par_min_rows(row_flops: usize) -> usize {
     const MIN_FLOPS_PER_TASK: usize = 1 << 16;
     (MIN_FLOPS_PER_TASK / row_flops.max(1)).max(1)

@@ -1,17 +1,27 @@
-//! A minimal scoped thread pool for deterministic data parallelism.
+//! A persistent parked-worker pool for deterministic data parallelism.
 //!
-//! Everything here is built on [`std::thread::scope`] — no queues, no
-//! work stealing, no extra dependencies. Work is split into contiguous
-//! chunks, one per worker, fixed before any thread starts: the assignment
-//! of items to chunks depends only on the item count and the grain size,
-//! never on thread scheduling. Combined with the two rules the kernels
-//! follow —
+//! Work is split into contiguous chunks whose boundaries depend only on the
+//! item count, the grain size and the worker count, never on thread
+//! scheduling. Combined with the two rules the kernels follow —
 //!
 //! 1. workers write **disjoint** output rows, and
 //! 2. every reduction is accumulated at a fixed per-item granularity and
 //!    folded in ascending item order on the calling thread —
 //!
 //! results are bitwise identical for any worker count, including 1.
+//!
+//! Chunks run on a process-lifetime pool of at most [`num_threads`] − 1
+//! workers, started lazily (never more than a call asks for) and parked on
+//! a condition variable between calls; no OS thread is spawned per call.
+//! A multi-chunk call offers chunks `1..n` to the pool through one shared
+//! queue, runs chunk 0 itself, then claims back every chunk no worker has
+//! taken yet. The caller therefore never waits for a chunk that has not
+//! started: nested calls cannot deadlock, and concurrent callers (serve
+//! workers, per-query sweeps) degrade to inline work instead of
+//! oversubscribing the cores. A panicking chunk is re-raised on the caller
+//! with its original payload once every chunk has finished, and the pool
+//! stays usable. If a worker cannot be spawned the pool logs a warning and
+//! the work runs inline.
 //!
 //! The worker count comes from the `DEEPT_THREADS` environment variable
 //! (read once), defaulting to [`std::thread::available_parallelism`];
@@ -26,9 +36,12 @@
 //! before/after benches). All three rungs produce bitwise-identical `f64`
 //! results; `naive` is single-threaded, the other two are parallel.
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 static ENV_THREADS: OnceLock<usize> = OnceLock::new();
@@ -211,6 +224,192 @@ fn chunk_count(len: usize, min_grain: usize) -> usize {
     num_threads().min(len / min_grain.max(1)).max(1)
 }
 
+/// Locks `m`, recovering the guard if a panic poisoned it: no code in this
+/// module panics while holding one of its locks (chunk bodies never run
+/// under a lock), so the data is valid at every step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One multi-chunk call in flight. It lives on the calling thread's stack;
+/// the pool's queue refers to it through lifetime-erased [`Entry`]s.
+struct Job<'a> {
+    body: &'a (dyn Fn(usize) + Sync),
+    chunks: usize,
+    /// Lowest chunk index nobody has claimed yet (chunk 0 is the caller's).
+    /// `Relaxed` suffices: the counter only hands out indices; the chunk
+    /// inputs were published by the queue lock and the outputs are
+    /// published by it again when the worker releases its entry.
+    next: AtomicUsize,
+    /// Queue entries for this job that are still queued or held by a
+    /// worker. Read and written only while holding the pool's queue lock,
+    /// which orders every access, hence `Relaxed`.
+    refs: AtomicUsize,
+    /// Panic of the lowest-indexed panicking chunk, with that index.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+}
+
+impl Job<'_> {
+    fn run(&self, chunk: usize) {
+        let t0 = Instant::now();
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| (self.body)(chunk)));
+        record_busy(t0);
+        if let Err(payload) = outcome {
+            let mut slot = lock(&self.panic);
+            if slot.as_ref().is_none_or(|(first, _)| chunk < *first) {
+                *slot = Some((chunk, payload));
+            }
+        }
+    }
+
+    /// Runs unclaimed chunks until none is left.
+    fn run_claimed(&self) {
+        loop {
+            let chunk = self.next.fetch_add(1, Ordering::Relaxed);
+            if chunk >= self.chunks {
+                return;
+            }
+            self.run(chunk);
+        }
+    }
+}
+
+/// A queued offer of a job's chunks to one worker.
+struct Entry(*const Job<'static>);
+
+// SAFETY: an `Entry` only crosses threads through the pool's queue, and the
+// job it points to outlives it: `run_chunks` does not return (or unwind)
+// until every entry it queued has been popped by a worker and released
+// (`refs` decremented under the queue lock, after which the worker no longer
+// touches the job) or removed from the queue by the caller. `Job` itself is
+// `Sync`, so shared access from several workers is sound.
+unsafe impl Send for Entry {}
+
+/// The process-lifetime pool: one job queue shared by every caller.
+struct Pool {
+    queue: Mutex<VecDeque<Entry>>,
+    /// Signals parked workers that an entry was queued.
+    work: Condvar,
+    /// Signals callers that some job's `refs` dropped to zero.
+    released: Condvar,
+}
+
+static POOL: Pool = Pool {
+    queue: Mutex::new(VecDeque::new()),
+    work: Condvar::new(),
+    released: Condvar::new(),
+};
+
+/// Workers started so far; the pool never shrinks. Workers are detached
+/// on purpose: they park for the life of the process and never panic,
+/// since every chunk runs under `catch_unwind`.
+static STARTED: AtomicUsize = AtomicUsize::new(0);
+/// Serializes pool growth; `true` once a spawn has failed, after which the
+/// pool stays at its current size.
+static GROWTH: Mutex<bool> = Mutex::new(false);
+
+/// Workers a call cut into `chunks` chunks may enlist: one per chunk beyond
+/// the caller's own, capped at `threads − 1`.
+fn workers_for(chunks: usize, threads: usize) -> usize {
+    chunks.saturating_sub(1).min(threads.saturating_sub(1))
+}
+
+/// Starts workers until `want` exist (or a spawn fails); returns how many
+/// of the running workers the caller may enlist, at most `want`.
+fn ensure_workers(want: usize) -> usize {
+    let started = STARTED.load(Ordering::Acquire);
+    if started >= want {
+        return want;
+    }
+    let mut failed = lock(&GROWTH);
+    let mut started = STARTED.load(Ordering::Acquire);
+    while !*failed && started < want {
+        let spawned = std::thread::Builder::new()
+            .name(format!("deept-par-{started}"))
+            .spawn(worker_loop);
+        match spawned {
+            Ok(_) => {
+                started += 1;
+                STARTED.store(started, Ordering::Release);
+            }
+            Err(e) => {
+                *failed = true;
+                deept_metrics::telemetry::warn!(
+                    "parallel",
+                    "could not start pool worker {}: {e}; running with {started} worker(s), the rest inline",
+                    started + 1
+                );
+            }
+        }
+    }
+    started.min(want)
+}
+
+/// A parked worker: pops one entry at a time and runs whatever chunks of
+/// its job are still unclaimed.
+fn worker_loop() {
+    let mut queue = lock(&POOL.queue);
+    loop {
+        let Some(entry) = queue.pop_front() else {
+            queue = POOL.work.wait(queue).unwrap_or_else(|e| e.into_inner());
+            continue;
+        };
+        drop(queue);
+        // SAFETY: the entry was queued by `run_chunks`, which keeps the job
+        // alive until this entry's reference is released below (see `Entry`).
+        let job = unsafe { &*entry.0 };
+        job.run_claimed();
+        queue = lock(&POOL.queue);
+        if job.refs.fetch_sub(1, Ordering::Relaxed) == 1 {
+            POOL.released.notify_all();
+        }
+        // `job` is not touched again: its caller may return once the queue
+        // lock is released.
+    }
+}
+
+/// Runs `body(i)` for every `i` in `0..chunks`, each exactly once: chunk 0
+/// on the calling thread, the others on whichever of the calling thread and
+/// the pool's workers claims them first. Returns once every chunk has
+/// finished; if any chunk panicked, re-raises the lowest-indexed chunk's
+/// panic with its original payload.
+fn run_chunks(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
+    let job = Job {
+        body,
+        chunks,
+        next: AtomicUsize::new(1),
+        refs: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+    };
+    let helpers = ensure_workers(workers_for(chunks, num_threads()));
+    let erased = (&job as *const Job<'_>).cast::<Job<'static>>();
+    if helpers > 0 {
+        let mut queue = lock(&POOL.queue);
+        job.refs.store(helpers, Ordering::Relaxed);
+        queue.extend((0..helpers).map(|_| Entry(erased)));
+        drop(queue);
+        for _ in 0..helpers {
+            POOL.work.notify_one();
+        }
+    }
+    job.run(0);
+    job.run_claimed();
+    if helpers > 0 {
+        // Withdraw the offers no worker took, then wait for the workers
+        // still running chunks of this job to release theirs.
+        let mut queue = lock(&POOL.queue);
+        let before = queue.len();
+        queue.retain(|e| !std::ptr::eq(e.0, erased));
+        job.refs.fetch_sub(before - queue.len(), Ordering::Relaxed);
+        while job.refs.load(Ordering::Relaxed) > 0 {
+            queue = POOL.released.wait(queue).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+    if let Some((_, payload)) = job.panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        panic::resume_unwind(payload);
+    }
+}
+
 /// Runs `f` over contiguous sub-ranges of `0..len` on up to
 /// [`num_threads`] workers and returns the per-chunk results **in range
 /// order**. Falls back to one inline call when a single worker is
@@ -237,32 +436,19 @@ where
         return vec![r];
     }
     let ranges = chunk_ranges(len, chunks);
-    let mut out = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges[1..]
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                let f = &f;
-                s.spawn(move || {
-                    let t0 = Instant::now();
-                    let res = f(r);
-                    record_busy(t0);
-                    res
-                })
-            })
-            .collect();
-        let t0 = Instant::now();
-        out.push(f(ranges[0].clone()));
-        record_busy(t0);
-        for h in handles {
-            match h.join() {
-                Ok(r) => out.push(r),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
+    let slots: Vec<Mutex<Option<R>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
+    run_chunks(chunks, &|c| {
+        let r = f(ranges[c].clone());
+        *lock(&slots[c]) = Some(r);
     });
-    out
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every chunk ran")
+        })
+        .collect()
 }
 
 /// Applies `f` to every item of `items` in parallel, returning results in
@@ -306,34 +492,18 @@ where
         record_busy(t0);
         return;
     }
-    let ranges = chunk_ranges(rows, chunks);
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut first = None;
-        let mut handles = Vec::with_capacity(ranges.len() - 1);
-        for (c, r) in ranges.into_iter().enumerate() {
+    let mut rest = data;
+    let parts: Vec<_> = chunk_ranges(rows, chunks)
+        .into_iter()
+        .map(|r| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * cols);
             rest = tail;
-            if c == 0 {
-                first = Some((r, head));
-            } else {
-                let f = &f;
-                handles.push(s.spawn(move || {
-                    let t0 = Instant::now();
-                    f(r, head);
-                    record_busy(t0);
-                }));
-            }
-        }
-        let (r0, head0) = first.expect("at least one chunk");
-        let t0 = Instant::now();
-        f(r0, head0);
-        record_busy(t0);
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
+            Mutex::new(Some((r, head)))
+        })
+        .collect();
+    run_chunks(chunks, &|c| {
+        let (r, chunk) = lock(&parts[c]).take().expect("each chunk is claimed once");
+        f(r, chunk);
     });
 }
 
@@ -432,6 +602,20 @@ mod tests {
         assert_eq!(d.invocations, 1);
         assert_eq!(d.tasks, 2);
         set_thread_override(None);
+    }
+
+    #[test]
+    fn pool_sizing_follows_requested_chunks_at_absurd_thread_counts() {
+        // Pure sizing arithmetic: no `par_*` call, so no worker starts.
+        let _g = test_lock();
+        set_thread_override(Some(100_000));
+        assert_eq!(workers_for(chunk_count(10, 1), num_threads()), 9);
+        assert_eq!(workers_for(chunk_count(10, 16), num_threads()), 0);
+        assert_eq!(workers_for(chunk_count(1 << 20, 4), num_threads()), 99_999);
+        set_thread_override(None);
+        assert_eq!(workers_for(8, 2), 1);
+        assert_eq!(workers_for(1, 8), 0);
+        assert_eq!(workers_for(0, 0), 0);
     }
 
     #[test]
